@@ -29,6 +29,7 @@
 #include "obs/trace.hpp"
 #include "obs/trace_summary.hpp"
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -273,14 +274,16 @@ class BenchJsonSession {
     ::rusage usage{};
     ::getrusage(RUSAGE_SELF, &usage);
     std::ostringstream out;
-    out << "{\"schema\":\"peerscope.bench/2\",\"bench\":\"" << name_
-        << "\",\"wall_s\":" << wall_s << ",\"events_executed\":" << events
+    out << "{\"schema\":\"peerscope.bench/2\",\"bench\":"
+        << util::json::quote(name_) << ",\"wall_s\":" << wall_s
+        << ",\"events_executed\":" << events
         << ",\"events_per_s\":" << (wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0)
         << ",\"peak_rss_kb\":" << usage.ru_maxrss << ",\"phases\":[";
     for (std::size_t i = 0; i < phases.size(); ++i) {
       const obs::SpanAttribution& row = phases[i];
       if (i != 0) out << ',';
-      out << "{\"path\":\"" << row.path << "\",\"count\":" << row.count
+      out << "{\"path\":" << util::json::quote(row.path)
+          << ",\"count\":" << row.count
           << ",\"total_ns\":" << row.total_ns
           << ",\"self_ns\":" << row.self_ns << '}';
     }

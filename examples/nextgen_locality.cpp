@@ -122,8 +122,9 @@ int main(int argc, char** argv) {
     return util::TextTable::num(v, p);
   };
   auto row = [&](const std::string& label, double a, double b, int p = 1) {
-    table.add_row({label, num(a, p), num(b, p),
-                   (b >= a ? "+" : "") + num(b - a, p)});
+    std::string change = num(b - a, p);
+    if (b >= a) change.insert(0, 1, '+');
+    table.add_row({label, num(a, p), num(b, p), change});
   };
   row("intra-AS download bytes %", base.intra_as_bytes_pct,
       next.intra_as_bytes_pct);

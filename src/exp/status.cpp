@@ -1,45 +1,17 @@
 #include "exp/status.hpp"
 
-#include <cctype>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <stdexcept>
 #include <utility>
 
 #include "exp/supervisor.hpp"
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 
 namespace peerscope::exp {
 
 namespace {
-
-void append_json_string(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 std::string fixed3(double value) {
   char buf[40];
@@ -56,72 +28,6 @@ const char* state_label(int state) {
     default:
       return to_string(static_cast<RunState>(state));
   }
-}
-
-// Own-dialect readers (the same shape journal.cpp uses): extract one
-// scalar field from a document StatusReporter itself wrote.
-
-std::optional<std::string> string_field(std::string_view doc,
-                                        const std::string& key) {
-  const std::string needle = "\"" + key + "\":\"";
-  const auto start = doc.find(needle);
-  if (start == std::string_view::npos) return std::nullopt;
-  std::string out;
-  for (std::size_t i = start + needle.size(); i < doc.size(); ++i) {
-    const char c = doc[i];
-    if (c == '"') return out;
-    if (c == '\\') {
-      if (i + 1 >= doc.size()) return std::nullopt;
-      const char esc = doc[++i];
-      switch (esc) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 'u': {
-          if (i + 4 >= doc.size()) return std::nullopt;
-          unsigned code = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = doc[++i];
-            code <<= 4;
-            if (h >= '0' && h <= '9') {
-              code |= static_cast<unsigned>(h - '0');
-            } else if (h >= 'a' && h <= 'f') {
-              code |= static_cast<unsigned>(h - 'a' + 10);
-            } else {
-              return std::nullopt;
-            }
-          }
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          return std::nullopt;
-      }
-    } else {
-      out += c;
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<double> number_field(std::string_view doc,
-                                   const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto start = doc.find(needle);
-  if (start == std::string_view::npos) return std::nullopt;
-  const std::size_t i = start + needle.size();
-  if (i >= doc.size()) return std::nullopt;
-  const std::string number{doc.substr(i, 32)};
-  char* end = nullptr;
-  const double value = std::strtod(number.c_str(), &end);
-  if (end == number.c_str()) return std::nullopt;
-  return value;
 }
 
 }  // namespace
@@ -184,9 +90,9 @@ void StatusReporter::run() {
 std::string StatusReporter::render(std::string_view phase) {
   const auto now = std::chrono::steady_clock::now();
   std::string out = "{\"schema\":";
-  append_json_string(out, kStatusSchema);
+  util::json::append_string(out, kStatusSchema);
   out += ",\"phase\":";
-  append_json_string(out, phase);
+  util::json::append_string(out, phase);
   out += ",\"runs\":[";
   for (std::size_t i = 0; i < runs_.size(); ++i) {
     LiveRun& live = runs_[i];
@@ -225,9 +131,9 @@ std::string StatusReporter::render(std::string_view phase) {
 
     if (i > 0) out += ',';
     out += "{\"spec\":";
-    append_json_string(out, live.spec);
+    util::json::append_string(out, live.spec);
     out += ",\"state\":";
-    append_json_string(out, state_label(state));
+    util::json::append_string(out, state_label(state));
     out += ",\"attempts\":" +
            std::to_string(live.attempts.load(std::memory_order_relaxed));
     out += ",\"events\":" + std::to_string(events);
@@ -241,47 +147,31 @@ std::string StatusReporter::render(std::string_view phase) {
 }
 
 std::optional<StatusView> parse_status(std::string_view json) {
-  if (string_field(json, "schema") != std::string{kStatusSchema}) {
+  const util::json::Value doc = util::json::parse_or_null(json);
+  const auto phase = doc["phase"].string();
+  const util::json::Value& runs = doc["runs"];
+  if (doc["schema"].string() != kStatusSchema || !phase ||
+      runs.kind() != util::json::Value::Kind::kArray) {
     return std::nullopt;
   }
   StatusView view;
-  const auto phase = string_field(json, "phase");
-  if (!phase) return std::nullopt;
   view.phase = *phase;
-  const auto runs_at = json.find("\"runs\":[");
-  if (runs_at == std::string_view::npos) return std::nullopt;
-  std::string_view rest = json.substr(runs_at + 8);
-  // Run entries are flat objects (no nesting in our dialect): each one
-  // spans exactly one {...}.
-  while (true) {
-    const auto open = rest.find('{');
-    const auto close = rest.find('}');
-    if (open == std::string_view::npos || close == std::string_view::npos ||
-        close < open) {
-      break;
-    }
-    const std::string_view entry = rest.substr(open, close - open + 1);
-    StatusRunView run;
-    const auto spec = string_field(entry, "spec");
-    const auto state = string_field(entry, "state");
-    const auto attempts = number_field(entry, "attempts");
-    const auto events = number_field(entry, "events");
-    const auto sim_time_s = number_field(entry, "sim_time_s");
-    const auto events_per_s = number_field(entry, "events_per_s");
-    const auto eta_s = number_field(entry, "eta_s");
+  for (const util::json::Value& entry : runs.items()) {
+    const auto spec = entry["spec"].string();
+    const auto state = entry["state"].string();
+    const auto attempts = entry["attempts"].integer<int>();
+    const auto events = entry["events"].integer<std::uint64_t>();
+    const auto sim_time_s = entry["sim_time_s"].number();
+    const auto events_per_s = entry["events_per_s"].number();
+    const auto eta_s = entry["eta_s"].number();
     if (!spec || !state || !attempts || !events || !sim_time_s ||
         !events_per_s || !eta_s) {
       return std::nullopt;
     }
-    run.spec = *spec;
-    run.state = *state;
-    run.attempts = static_cast<int>(*attempts);
-    run.events = static_cast<std::uint64_t>(*events);
-    run.sim_time_s = *sim_time_s;
-    run.events_per_s = *events_per_s;
-    run.eta_s = *eta_s;
-    view.runs.push_back(std::move(run));
-    rest = rest.substr(close + 1);
+    view.runs.push_back(StatusRunView{std::string{*spec},
+                                      std::string{*state}, *attempts,
+                                      *events, *sim_time_s, *events_per_s,
+                                      *eta_s});
   }
   return view;
 }

@@ -117,9 +117,9 @@ struct StatusView {
   std::vector<StatusRunView> runs;
 };
 
-/// Parses a document written by StatusReporter (own-dialect reader,
-/// like journal_replay). Returns nullopt when the schema line is
-/// missing or a field is malformed.
+/// Parses a document written by StatusReporter with the shared strict
+/// JSON reader. Returns nullopt when the document does not parse, the
+/// schema is foreign, or a field is missing or mistyped.
 [[nodiscard]] std::optional<StatusView> parse_status(std::string_view json);
 
 }  // namespace peerscope::exp

@@ -5,34 +5,11 @@
 #include <stdexcept>
 
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 
 namespace peerscope::obs {
 
 namespace {
-
-void append_escaped(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 void append_number(std::string& out, std::uint64_t v) {
   char buf[24];
@@ -56,14 +33,14 @@ template <typename Map, typename Fn>
 void append_object(std::string& out, const char* key, const Map& map,
                    Fn&& value_fn) {
   out += "  ";
-  append_escaped(out, key);
+  util::json::append_string(out, key);
   out += ": {";
   bool first = true;
   for (const auto& [name, value] : map) {
     if (!first) out += ',';
     first = false;
     out += "\n    ";
-    append_escaped(out, name);
+    util::json::append_string(out, name);
     out += ": ";
     value_fn(out, value);
   }

@@ -11,6 +11,7 @@
 
 #include "obs/metrics.hpp"
 #include "util/atomic_file.hpp"
+#include "util/json.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -250,29 +251,6 @@ void trace_flush() {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view text) {
-  out += '"';
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
 void append_u64(std::string& out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof buf, "%" PRIu64, v);
@@ -323,7 +301,7 @@ std::string trace_json(const TraceSnapshot& snapshot) {
     if (!first) out += ',';
     first = false;
     out += "\n{\"name\": ";
-    append_escaped(out, event.name);
+    util::json::append_string(out, event.name);
     out += ", \"ph\": \"";
     out += phase_letter(event.type);
     out += "\", \"pid\": 1, \"tid\": ";

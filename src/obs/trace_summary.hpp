@@ -4,11 +4,12 @@
 // attributes wall time to span paths: `total` is time between a
 // span's B and E events, `self` is total minus the time spent in
 // directly nested child spans — the number that says where a phase
-// actually burns its cycles. The reader is a dialect parser for our
-// own writer (like exp/journal.cpp's), line-oriented and salvage-mode
-// by construction: a torn or garbled event line is counted in
-// `skipped_lines` and skipped, never fatal, so a trace copied out of
-// a SIGKILL'd run directory still profiles.
+// actually burns its cycles. The reader walks the writer's
+// one-event-per-line layout and parses each line with the shared
+// strict JSON reader (util/json.hpp), so it salvages by construction:
+// a torn or garbled event line is counted in `skipped_lines` and
+// skipped, never fatal, so a trace copied out of a SIGKILL'd run
+// directory still profiles.
 #pragma once
 
 #include <cstdint>

@@ -5,7 +5,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <unistd.h>
+
+#include "support/temp_dir.hpp"
 
 namespace peerscope::aware {
 namespace {
@@ -13,9 +14,7 @@ namespace {
 class ExportTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_export_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

@@ -20,12 +20,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
 #include "exp/journal.hpp"
 #include "exp/runner.hpp"
 #include "net/topology.hpp"
+#include "support/temp_dir.hpp"
 #include "trace/binary_format.hpp"
 #include "trace/io.hpp"
 #include "trace/pcap.hpp"
@@ -40,9 +40,7 @@ using util::io::FaultPlan;
 class ChaosMatrixTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_chaos_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir();
   }
   void TearDown() override {
     util::io::clear_faults();

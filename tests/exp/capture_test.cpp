@@ -4,9 +4,9 @@
 
 #include <filesystem>
 #include <fstream>
-#include <unistd.h>
 
 #include "exp/metadata.hpp"
+#include "support/temp_dir.hpp"
 #include "trace/io.hpp"
 
 namespace peerscope::exp {
@@ -15,9 +15,7 @@ namespace {
 class CaptureTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_capture_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

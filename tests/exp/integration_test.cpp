@@ -5,12 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <unistd.h>
 
 #include "aware/report.hpp"
 #include "exp/runner.hpp"
 #include "exp/testbed.hpp"
 #include "p2p/swarm.hpp"
+#include "support/temp_dir.hpp"
 #include "trace/io.hpp"
 
 namespace peerscope::exp {
@@ -179,9 +179,7 @@ TEST(OfflinePath, TraceFilesReproduceOnlineAnalysis) {
 
   const auto online = extract_observations(swarm);
 
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("peerscope_integration_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
+  const auto dir = test::unique_temp_dir();
 
   aware::ExperimentObservations offline;
   offline.app = online.app;

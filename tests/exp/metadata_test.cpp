@@ -4,7 +4,8 @@
 
 #include <filesystem>
 #include <fstream>
-#include <unistd.h>
+
+#include "support/temp_dir.hpp"
 
 namespace peerscope::exp {
 namespace {
@@ -12,9 +13,7 @@ namespace {
 class MetadataTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_meta_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
   std::filesystem::path dir_;

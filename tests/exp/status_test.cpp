@@ -11,9 +11,9 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unistd.h>
 
 #include "exp/supervisor.hpp"
+#include "support/temp_dir.hpp"
 
 namespace peerscope::exp {
 namespace {
@@ -24,9 +24,7 @@ using std::chrono::milliseconds;
 class StatusTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("peerscope_status_test_" + std::to_string(::getpid()));
-    fs::create_directories(dir_);
+    dir_ = test::unique_temp_dir();
   }
   void TearDown() override {
     std::error_code ec;

@@ -12,7 +12,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <unistd.h>
 
 #include "exp/journal.hpp"
 #include "exp/status.hpp"
@@ -20,6 +19,7 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_summary.hpp"
+#include "support/temp_dir.hpp"
 #include "util/cancel.hpp"
 
 namespace peerscope::exp {
@@ -74,9 +74,7 @@ RunResult starving_run(const RunSpec& spec) {
 class SupervisorSloTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_supervisor_slo_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir();
   }
   void TearDown() override {
     std::error_code ec;

@@ -14,14 +14,15 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
-#include <unistd.h>
 
 #include "exp/journal.hpp"
 #include "obs/metrics.hpp"
-#include "sim/engine.hpp"
-#include "util/cancel.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_summary.hpp"
+#include "sim/engine.hpp"
+#include "support/temp_dir.hpp"
+#include "util/atomic_file.hpp"
+#include "util/cancel.hpp"
 
 namespace peerscope::exp {
 namespace {
@@ -66,9 +67,7 @@ RunResult fake_result(std::uint64_t marker) {
 class SupervisorTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_supervisor_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
   std::filesystem::path dir_;
@@ -498,6 +497,50 @@ TEST_F(SupervisorTest, ReplayOfMissingJournalIsEmpty) {
   EXPECT_TRUE(journal_replay(dir_ / "absent.journal").empty());
 }
 
+TEST_F(SupervisorTest, ReplaySkipsOutOfRangeAndTrailingGarbageAttempts) {
+  const auto path = dir_ / "experiment.journal";
+  journal_begin(path);
+  // An attempts count past int's range must not wrap into a plausible
+  // number, and digits followed by junk are not a number at all.
+  util::append_line_durable(
+      path, R"({"spec":"big","state":"ok","attempts":99999999999})");
+  util::append_line_durable(
+      path, R"({"spec":"oops","state":"ok","attempts":3oops})");
+  util::append_line_durable(
+      path, R"({"spec":"fine","state":"ok","attempts":3})");
+  const auto entries = journal_replay(path);
+  EXPECT_FALSE(entries.contains("big"));
+  EXPECT_FALSE(entries.contains("oops"));
+  ASSERT_TRUE(entries.contains("fine"));
+  EXPECT_EQ(entries.at("fine").attempts, 3);
+}
+
+TEST_F(SupervisorTest, ReplayReadsOlderShortEscapesAndRoundTripsErrors) {
+  const auto path = dir_ / "experiment.journal";
+  journal_begin(path);
+  // Journals from before the shared JSON writer escaped a newline in
+  // `error` as \n; they must still replay.
+  util::append_line_durable(path,
+                            R"({"spec":"old","state":"failed","attempts":2,)"
+                            R"("error":"first\nsecond"})");
+  JournalEntry entry;
+  entry.spec = "new";
+  entry.state = "timed_out";
+  entry.attempts = 1;
+  entry.error = "multi\nline \"quoted\" back\\slash \x01";
+  entry.artifact = "a.result";
+  journal_append(path, entry);
+
+  const auto entries = journal_replay(path);
+  ASSERT_TRUE(entries.contains("old"));
+  EXPECT_EQ(entries.at("old").error, "first\nsecond");
+  EXPECT_EQ(entries.at("old").attempts, 2);
+  ASSERT_TRUE(entries.contains("new"));
+  EXPECT_EQ(entries.at("new").error, entry.error);
+  EXPECT_EQ(entries.at("new").artifact, entry.artifact);
+  EXPECT_EQ(entries.at("new").state, entry.state);
+}
+
 TEST(Journal, SpecIdEncodesIdentityAndFaults) {
   RunSpec a = tiny_spec(3);
   const std::string base = spec_id(a);
@@ -525,9 +568,7 @@ TEST(Journal, RunResultBlobRoundTripsByteIdentically) {
   // serialize to the exact same bytes, which is the property --resume
   // byte-identity rests on.
   const RunResult original = run_experiment(topo(), tiny_spec(5));
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("peerscope_blob_test_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
+  const auto dir = test::unique_temp_dir();
 
   write_run_result(dir / "a.result", original);
   const auto reloaded = read_run_result(dir / "a.result");
@@ -552,9 +593,7 @@ TEST(Journal, RunResultBlobRoundTripsByteIdentically) {
 }
 
 TEST(Journal, CorruptBlobReadsAsNullopt) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("peerscope_blob_corrupt_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
+  const auto dir = test::unique_temp_dir();
   EXPECT_FALSE(read_run_result(dir / "missing.result").has_value());
 
   // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
@@ -573,9 +612,7 @@ TEST(Journal, BitRotInTheBlobFailsTheCrcCheck) {
   // Flip one digit in an otherwise perfectly parseable blob: without
   // the integrity line this would read back as silently wrong data.
   const RunResult original = run_experiment(topo(), tiny_spec(6));
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("peerscope_blob_crc_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
+  const auto dir = test::unique_temp_dir();
   const auto path = dir / "rot.result";
   write_run_result(path, original);
 
@@ -601,9 +638,7 @@ TEST(Journal, BitRotInTheBlobFailsTheCrcCheck) {
 
 TEST(Journal, LegacyBlobWithoutCrcLineStillParses) {
   const RunResult original = run_experiment(topo(), tiny_spec(6));
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("peerscope_blob_legacy_" + std::to_string(::getpid()));
-  std::filesystem::create_directories(dir);
+  const auto dir = test::unique_temp_dir();
   const auto path = dir / "legacy.result";
   write_run_result(path, original);
 

@@ -24,6 +24,9 @@
 #include <tuple>
 #include <vector>
 
+#include "support/temp_dir.hpp"
+#include "util/json.hpp"
+
 namespace peerscope::lint {
 namespace {
 
@@ -631,13 +634,10 @@ TEST(Fingerprint, EveryFindingCarriesOne) {
 
 class BaselineTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    path_ = std::filesystem::temp_directory_path() /
-            "peerscope_lint_baseline_test.txt";
-  }
+  void SetUp() override { path_ = test::unique_temp_dir() / "baseline.txt"; }
   void TearDown() override {
     std::error_code ec;
-    std::filesystem::remove(path_, ec);
+    std::filesystem::remove_all(path_.parent_path(), ec);
   }
 
   void write_baseline(const std::string& content) {
@@ -702,47 +702,6 @@ TEST_F(BaselineTest, MissingBaselineFileIsAConfigError) {
 
 // --- SARIF ------------------------------------------------------------
 
-/// Minimal structural JSON check: quotes/escapes tracked, braces and
-/// brackets balanced in order. Catches broken escaping or nesting
-/// without a full parser.
-bool json_well_formed(std::string_view text) {
-  std::vector<char> stack;
-  bool in_string = false;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      } else if (c == '\n') {
-        return false;  // raw newline inside a string
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        in_string = true;
-        break;
-      case '{':
-      case '[':
-        stack.push_back(c);
-        break;
-      case '}':
-        if (stack.empty() || stack.back() != '{') return false;
-        stack.pop_back();
-        break;
-      case ']':
-        if (stack.empty() || stack.back() != '[') return false;
-        stack.pop_back();
-        break;
-      default:
-        break;
-    }
-  }
-  return !in_string && stack.empty();
-}
-
 TEST(Sarif, RendersVersionRulesAndOneResultPerFinding) {
   Options options;
   options.root = fixture_root("locks");
@@ -751,7 +710,13 @@ TEST(Sarif, RendersVersionRulesAndOneResultPerFinding) {
   const LintResult result = run(options);
   ASSERT_FALSE(result.findings.empty());
   const std::string sarif = to_sarif(result, options.root);
-  EXPECT_TRUE(json_well_formed(sarif));
+  // One strict JSON document whose results array has one entry per
+  // finding.
+  util::json::Value doc;
+  ASSERT_NO_THROW(doc = util::json::parse(sarif));
+  ASSERT_EQ(doc["runs"].items().size(), 1u);
+  EXPECT_EQ(doc["runs"].items()[0]["results"].items().size(),
+            result.findings.size());
   EXPECT_THAT(sarif, HasSubstr("\"version\": \"2.1.0\""));
   EXPECT_THAT(sarif, HasSubstr("sarif-2.1.0.json"));
   EXPECT_THAT(sarif, HasSubstr("\"name\": \"peerscope-lint\""));
@@ -778,7 +743,13 @@ TEST(Sarif, EscapesMessagesAndOmitsRegionForLineZeroFindings) {
   result.findings.push_back(
       {"build/x.o", 0, "demo-rule", "whole-file", "8899aabbccddeeff"});
   const std::string sarif = to_sarif(result, ".");
-  EXPECT_TRUE(json_well_formed(sarif));
+  util::json::Value doc;
+  ASSERT_NO_THROW(doc = util::json::parse(sarif));
+  ASSERT_EQ(doc["runs"].items().size(), 1u);
+  ASSERT_EQ(doc["runs"].items()[0]["results"].items().size(), 2u);
+  EXPECT_EQ(doc["runs"].items()[0]["results"].items()[0]["message"]["text"]
+                .string(),
+            "say \"hi\" back\\slash");
   EXPECT_THAT(sarif,
               HasSubstr("say \\\"hi\\\" back\\\\slash"));
   EXPECT_THAT(sarif, HasSubstr("\"startLine\": 12"));

@@ -9,8 +9,9 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
-#include <unistd.h>
 #include <vector>
+
+#include "support/temp_dir.hpp"
 
 namespace peerscope::obs {
 namespace {
@@ -152,9 +153,7 @@ TEST(LogHistogram, MergeAndBucketRoundTripPreserveEverything) {
 class TimeseriesFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_timeseries_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
   std::filesystem::path dir_;

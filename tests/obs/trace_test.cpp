@@ -241,6 +241,22 @@ TEST(TraceJson, RoundTripsThroughTheSummaryReader) {
   }
 }
 
+TEST(TraceJson, ControlQuoteAndBackslashBytesInNamesRoundTripExactly) {
+  // The writer escapes 0x01 as \u0001; the reader must decode it back
+  // to the byte, not drop the backslash and keep "u0001".
+  const std::string name{"a\x01z\"q\\"};
+  ASSERT_EQ(name.size(), 6u);
+  TraceSnapshot snap;
+  snap.events.push_back({name, TraceEventType::kInstant, 0, 1'000, 0});
+  const auto path = temp_path("peerscope_trace_escapes.json");
+  write_trace_json(path, snap);
+  const TraceFile file = read_trace_file(path);
+  std::filesystem::remove(path);
+  EXPECT_EQ(file.skipped_lines, 0u);
+  ASSERT_EQ(file.events.size(), 1u);
+  EXPECT_EQ(file.events[0].name, name);
+}
+
 TEST(TraceJson, DeterministicRenderingMatchesInMemoryTrace) {
   const TraceSnapshot snap = sample_snapshot();
   const auto path = temp_path("peerscope_trace_deterministic.json");

@@ -75,6 +75,19 @@ TEST(BenchSnapshotParse, MissingFieldThrows) {
                std::runtime_error);
 }
 
+TEST(BenchSnapshotParse, DecodesEscapesAndRejectsTrailingBytes) {
+  const BenchSnapshot snap = parse_bench_snapshot(
+      "{\"schema\":\"peerscope.bench/2\",\"bench\":\"b\\\"x\","
+      "\"wall_s\":1,\"events_executed\":1,\"events_per_s\":1,"
+      "\"peak_rss_kb\":1,\"phases\":[{\"path\":\"run.A\\u0001\","
+      "\"count\":1,\"total_ns\":2,\"self_ns\":2}]}");
+  EXPECT_EQ(snap.bench, "b\"x");
+  ASSERT_EQ(snap.phases.size(), 1u);
+  EXPECT_EQ(snap.phases[0].path, "run.A\x01");
+  EXPECT_THROW(parse_bench_snapshot(std::string{kV2Doc} + "{}"),
+               std::runtime_error);
+}
+
 TEST(BenchSnapshotParse, UnreadableFileThrowsWithPath) {
   try {
     (void)read_bench_snapshot("/nonexistent/BENCH_x.json");

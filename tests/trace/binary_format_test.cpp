@@ -11,9 +11,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <unistd.h>
 #include <vector>
 
+#include "support/temp_dir.hpp"
 #include "util/crc32c.hpp"
 
 namespace peerscope::trace {
@@ -26,9 +26,7 @@ constexpr std::size_t kFrameSize = 8 + 19;  // len + crc + payload
 class BinaryFormatTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_psbt_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

@@ -6,8 +6,8 @@
 
 #include <filesystem>
 #include <fstream>
-#include <unistd.h>
 
+#include "support/temp_dir.hpp"
 #include "trace/io.hpp"
 #include "trace/pcap.hpp"
 #include "util/rng.hpp"
@@ -20,9 +20,7 @@ using net::Ipv4Addr;
 class FuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_fuzz_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

@@ -4,7 +4,8 @@
 
 #include <filesystem>
 #include <fstream>
-#include <unistd.h>
+
+#include "support/temp_dir.hpp"
 
 namespace peerscope::trace {
 namespace {
@@ -15,9 +16,7 @@ using util::SimTime;
 class TraceIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_io_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 

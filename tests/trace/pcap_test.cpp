@@ -4,9 +4,9 @@
 
 #include <filesystem>
 #include <fstream>
-#include <unistd.h>
 
 #include "sim/packet.hpp"
+#include "support/temp_dir.hpp"
 
 namespace peerscope::trace {
 namespace {
@@ -20,9 +20,7 @@ const Ipv4Addr kRemote{20, 1, 2, 3};
 class PcapTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_pcap_test_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir();
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
   std::filesystem::path dir_;

@@ -9,8 +9,8 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
-#include <unistd.h>
 
+#include "support/temp_dir.hpp"
 #include "util/io_faults.hpp"
 
 namespace peerscope::util {
@@ -19,9 +19,7 @@ namespace {
 class AtomicFileFaultsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_atomic_faults_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir();
   }
   void TearDown() override {
     io::clear_faults();

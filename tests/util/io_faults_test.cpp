@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <filesystem>
@@ -15,15 +14,15 @@
 #include <sstream>
 #include <string>
 
+#include "support/temp_dir.hpp"
+
 namespace peerscope::util::io {
 namespace {
 
 class IoFaultsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() /
-           ("peerscope_io_faults_" + std::to_string(::getpid()));
-    std::filesystem::create_directories(dir_);
+    dir_ = test::unique_temp_dir();
   }
   void TearDown() override {
     clear_faults();

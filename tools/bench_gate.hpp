@@ -40,8 +40,9 @@ struct BenchSnapshot {
   std::vector<BenchPhase> phases;
 };
 
-/// Parses the exact dialect bench::BenchJsonSession writes. Throws
-/// std::runtime_error on malformed input or a foreign schema.
+/// Parses a document bench::BenchJsonSession writes, with the shared
+/// strict JSON reader. Throws std::runtime_error on malformed input, a
+/// missing or mistyped field, or a foreign schema.
 [[nodiscard]] BenchSnapshot parse_bench_snapshot(const std::string& text);
 
 /// read + parse; throws std::runtime_error (with the path in the

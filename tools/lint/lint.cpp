@@ -15,6 +15,8 @@
 #include <tuple>
 #include <utility>
 
+#include "util/json.hpp"
+
 namespace peerscope::lint {
 namespace {
 
@@ -1420,44 +1422,6 @@ std::vector<Finding> check_tracked_paths(
 
 LintResult run(const Options& options) { return Linter{options}.run(); }
 
-namespace {
-
-[[nodiscard]] std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string to_sarif(const LintResult& result,
                      const std::filesystem::path& root) {
   std::string out;
@@ -1474,9 +1438,9 @@ std::string to_sarif(const LintResult& result,
       "          \"rules\": [\n";
   const auto rules = rule_names();
   for (std::size_t i = 0; i < rules.size(); ++i) {
-    out += "            {\"id\": \"" + json_escape(rules[i]) +
-           "\", \"shortDescription\": {\"text\": \"" +
-           json_escape(rule_description(rules[i])) + "\"}}";
+    out += "            {\"id\": " + util::json::quote(rules[i]) +
+           ", \"shortDescription\": {\"text\": " +
+           util::json::quote(rule_description(rules[i])) + "}}";
     out += i + 1 < rules.size() ? ",\n" : "\n";
   }
   out +=
@@ -1491,16 +1455,16 @@ std::string to_sarif(const LintResult& result,
         std::filesystem::relative(finding.file, root, ec);
     if (ec || rel.empty()) rel = finding.file;
     out += "        {\n";
-    out += "          \"ruleId\": \"" + json_escape(finding.rule) +
-           "\",\n";
+    out += "          \"ruleId\": " + util::json::quote(finding.rule) +
+           ",\n";
     out += "          \"level\": \"error\",\n";
-    out += "          \"message\": {\"text\": \"" +
-           json_escape(finding.message) + "\"},\n";
-    out += "          \"partialFingerprints\": {\"peerscopeLint/v1\": \"" +
-           json_escape(finding.fingerprint) + "\"},\n";
+    out += "          \"message\": {\"text\": " +
+           util::json::quote(finding.message) + "},\n";
+    out += "          \"partialFingerprints\": {\"peerscopeLint/v1\": " +
+           util::json::quote(finding.fingerprint) + "},\n";
     out += "          \"locations\": [{\"physicalLocation\": "
-           "{\"artifactLocation\": {\"uri\": \"" +
-           json_escape(rel.generic_string()) + "\"}";
+           "{\"artifactLocation\": {\"uri\": " +
+           util::json::quote(rel.generic_string()) + "}";
     if (finding.line != 0) {
       out += ", \"region\": {\"startLine\": " +
              std::to_string(finding.line) + "}";
