@@ -9,7 +9,6 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 
 namespace peerscope::exp {
 
@@ -34,11 +33,7 @@ aware::ExperimentObservations extract_observations(const p2p::Swarm& swarm) {
   return data;
 }
 
-RunResult run_experiment(const net::AsTopology& topo, const RunSpec& spec) {
-  if (spec.duration <= util::SimTime::zero()) {
-    throw std::invalid_argument("run_experiment: duration must be positive");
-  }
-  const Testbed testbed = Testbed::table1();
+p2p::SwarmConfig swarm_config(const RunSpec& spec) {
   p2p::SwarmConfig config;
   config.profile = spec.profile;
   config.seed = spec.seed;
@@ -53,23 +48,14 @@ RunResult run_experiment(const net::AsTopology& topo, const RunSpec& spec) {
   // what a "run" is.
   config.series_key = spec_id(spec);
   config.progress = spec.progress;
+  return config;
+}
 
-  // Mark the progress sink active for exactly the window observers may
-  // trust it, and deactivate on every exit path (the watchdog must not
-  // judge a dead attempt's frozen counters).
-  struct ProgressGuard {
-    obs::RunProgress* progress;
-    explicit ProgressGuard(obs::RunProgress* p) : progress(p) {
-      if (progress != nullptr) {
-        progress->active.store(true, std::memory_order_release);
-      }
-    }
-    ~ProgressGuard() {
-      if (progress != nullptr) {
-        progress->active.store(false, std::memory_order_release);
-      }
-    }
-  } progress_guard{spec.progress};
+RunResult run_experiment(const net::AsTopology& topo, const RunSpec& spec) {
+  if (spec.duration <= util::SimTime::zero()) {
+    throw std::invalid_argument("run_experiment: duration must be positive");
+  }
+  const Testbed testbed = Testbed::table1();
 
   RunResult result;
   {
@@ -78,7 +64,7 @@ RunResult run_experiment(const net::AsTopology& topo, const RunSpec& spec) {
     // timeline. The scope closes before the flush below so the
     // span's end event is part of the run it belongs to.
     obs::Span run_span{"run." + spec.profile.name};
-    p2p::Swarm swarm{topo, testbed.probes(), std::move(config)};
+    p2p::Swarm swarm{topo, testbed.probes(), swarm_config(spec)};
     {
       PEERSCOPE_SPAN("simulate");
       swarm.run();

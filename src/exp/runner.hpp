@@ -47,10 +47,10 @@ struct RunSpec {
   /// supervisor arms one per attempt to enforce --deadline. nullptr =
   /// uncancellable. Must outlive the run.
   const util::CancelToken* cancel = nullptr;
-  /// Live progress sink (obs/watchdog.hpp): run_experiment marks it
-  /// active for the duration of the simulation and the engine/swarm
-  /// publish events, sim time and the rejoin p99 into it. nullptr (the
-  /// default) leaves the hot path untouched. Must outlive the run.
+  /// Live progress sink (obs/progress.hpp): the swarm marks it active
+  /// while its engine runs and the engine/swarm publish events, sim
+  /// time and the rejoin p99 into it. nullptr (the default) leaves the
+  /// hot path untouched. Must outlive the run.
   obs::RunProgress* progress = nullptr;
 };
 
@@ -72,6 +72,12 @@ class DiscoveryDegraded : public std::runtime_error {
                            std::to_string(rejoins_missed) +
                            " re-join(s) missed the deadline") {}
 };
+
+/// The swarm configuration a spec describes: profile, seed, duration,
+/// faults, discovery, cancel token and progress sink, with series rows
+/// keyed on spec_id(). Every path that simulates a RunSpec builds its
+/// swarm from this.
+[[nodiscard]] p2p::SwarmConfig swarm_config(const RunSpec& spec);
 
 /// Runs one experiment on the given (finalized) topology with the
 /// Table I testbed and returns the extracted observations. Throws

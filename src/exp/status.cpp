@@ -6,6 +6,8 @@
 #include <utility>
 
 #include "exp/supervisor.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
 
@@ -13,9 +15,9 @@ namespace peerscope::exp {
 
 namespace {
 
-std::string fixed3(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.3f", value);
+std::string fixed(double value, int decimals) {
+  char buf[48];
+  std::snprintf(buf, sizeof buf, "%.*f", decimals, value);
   return buf;
 }
 
@@ -32,101 +34,214 @@ const char* state_label(int state) {
 
 }  // namespace
 
-StatusReporter::StatusReporter(std::filesystem::path path,
-                               std::chrono::milliseconds poll)
-    : path_(std::move(path)), poll_(poll) {
-  if (poll_.count() < 1) poll_ = std::chrono::milliseconds{1};
-}
+LiveMonitor::LiveMonitor(std::filesystem::path status_path, SloSpec slo)
+    : status_path_(std::move(status_path)), slo_(slo) {}
 
-StatusReporter::~StatusReporter() { stop(); }
+LiveMonitor::~LiveMonitor() { stop(); }
 
-LiveRun& StatusReporter::add_run(std::string spec_id,
-                                 double run_duration_s) {
+LiveRun& LiveMonitor::add_run(std::string spec_id, double run_duration_s) {
   if (started_) {
-    throw std::logic_error("StatusReporter: add_run after start");
+    throw std::logic_error("LiveMonitor: add_run after start");
   }
-  return runs_.emplace_back(std::move(spec_id), run_duration_s);
+  windows_.emplace_back();
+  {
+    const util::MutexLock lock{mutex_};
+    arms_.emplace_back();
+  }
+  return runs_.emplace_back(std::move(spec_id), run_duration_s,
+                            runs_.size());
 }
 
-void StatusReporter::start() {
+void LiveMonitor::start() {
   if (started_) return;
   started_ = true;
-  baselines_.assign(runs_.size(), Baseline{});
-  try {
-    util::write_file_atomic(path_, render("running"), /*durable=*/false);
-  } catch (const std::exception& error) {
-    // Status is advisory: a broken status path must not kill the batch.
-    std::cerr << "status: cannot write " << path_.string() << ": "
-              << error.what() << '\n';
-  }
+  tick(Clock::now(), "running", /*warn=*/true);
   thread_ = std::thread([this] { run(); });
 }
 
-void StatusReporter::stop() {
+void LiveMonitor::stop() {
   if (!started_) return;
-  stop_.store(true, std::memory_order_relaxed);
+  {
+    const util::MutexLock lock{mutex_};
+    stopping_ = true;
+  }
+  wake_.notify_all();
   if (thread_.joinable()) thread_.join();
   started_ = false;
-  try {
-    util::write_file_atomic(path_, render("done"), /*durable=*/false);
-  } catch (const std::exception& error) {
-    std::cerr << "status: cannot write " << path_.string() << ": "
-              << error.what() << '\n';
+  tick(Clock::now(), "done", /*warn=*/true);
+}
+
+void LiveMonitor::attach(const LiveRun& live, util::CancelToken& token) {
+  const util::MutexLock lock{mutex_};
+  arms_[live.index] = Arm{&token, {}};
+}
+
+std::string LiveMonitor::detach(const LiveRun& live) {
+  const util::MutexLock lock{mutex_};
+  Arm& arm = arms_[live.index];
+  arm.token = nullptr;
+  return std::exchange(arm.violation, {});
+}
+
+void LiveMonitor::run() {
+  for (;;) {
+    const auto due = Clock::now() + kPoll;
+    {
+      const util::MutexLock lock{mutex_};
+      while (!stopping_ && Clock::now() < due) wake_.wait_until(mutex_, due);
+      if (stopping_) return;
+    }
+    sample(Clock::now());
   }
 }
 
-void StatusReporter::run() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    std::this_thread::sleep_for(poll_);
-    if (stop_.load(std::memory_order_relaxed)) break;
-    try {
-      util::write_file_atomic(path_, render("running"), /*durable=*/false);
-    } catch (const std::exception&) {
-      // Transient (io_faults, full disk): the next tick retries.
+void LiveMonitor::sample(Clock::time_point now) {
+  tick(now, "running", /*warn=*/false);
+}
+
+void LiveMonitor::tick(Clock::time_point now, std::string_view phase,
+                       bool warn) {
+  for (std::size_t i = 0; i < runs_.size(); ++i) {
+    advance(runs_[i], windows_[i], now);
+  }
+  if (slo_.enabled()) {
+    const util::MutexLock lock{mutex_};
+    for (std::size_t i = 0; i < runs_.size(); ++i) {
+      check(runs_[i], windows_[i], arms_[i], now);
+    }
+  }
+  if (status_path_.empty()) return;
+  try {
+    util::write_file_atomic(status_path_, render(phase), /*durable=*/false);
+  } catch (const std::exception& error) {
+    // Status is advisory: a broken status path must not kill the
+    // batch. Mid-run failures (io_faults, full disk) retry next tick.
+    if (warn) {
+      std::cerr << "status: cannot write " << status_path_.string() << ": "
+                << error.what() << '\n';
     }
   }
 }
 
-std::string StatusReporter::render(std::string_view phase) {
-  const auto now = std::chrono::steady_clock::now();
+void LiveMonitor::advance(const LiveRun& live, Window& window,
+                          Clock::time_point now) {
+  const int attempt = live.attempts.load(std::memory_order_relaxed);
+  const bool active = live.progress.active.load(std::memory_order_acquire);
+  const std::uint64_t events =
+      live.progress.events.load(std::memory_order_relaxed);
+  const std::int64_t sim_ns =
+      live.progress.sim_time_ns.load(std::memory_order_relaxed);
+  // A new attempt, an active flip, or a counter stepping backwards
+  // (a reset read mid-way) starts a fresh window.
+  const bool same_window = attempt == window.attempt &&
+                           active == window.active &&
+                           events >= window.events && sim_ns >= window.sim_ns;
+  if (!same_window) {
+    window = Window{};
+    window.attempt = attempt;
+    window.active = active;
+    window.advanced_at = now;
+  } else {
+    const double dt = std::chrono::duration<double>(now - window.at).count();
+    window.measured = dt > 0;
+    if (window.measured) {
+      window.events_per_s = static_cast<double>(events - window.events) / dt;
+      window.sim_rate = static_cast<double>(sim_ns - window.sim_ns) / 1e9 / dt;
+    }
+    if (sim_ns > window.sim_ns) window.advanced_at = now;
+  }
+  window.events = events;
+  window.sim_ns = sim_ns;
+  window.at = now;
+}
+
+void LiveMonitor::check(const LiveRun& live, Window& window, Arm& arm,
+                        Clock::time_point now) {
+  // Judge only a live attempt whose token is attached, on a full
+  // window, and at most once.
+  if (arm.token == nullptr || !window.active || !window.measured ||
+      window.tripped) {
+    return;
+  }
+
+  // Sim-time stall: the engine publishes progress every 256 events,
+  // so sim time frozen across the window means no event is landing.
+  if (slo_.stall_window_s > 0) {
+    const double stalled_s =
+        std::chrono::duration<double>(now - window.advanced_at).count();
+    if (stalled_s >= slo_.stall_window_s) {
+      PEERSCOPE_METRIC_INC("watchdog.violations");
+      trip(window, arm,
+           "sim time stalled at " + std::to_string(window.sim_ns) +
+               "ns for " + fixed(stalled_s, 0) + "s");
+      return;
+    }
+  }
+
+  // Throughput floor, on per-window deltas so a slow start does not
+  // poison the whole run's average.
+  if (slo_.events_per_s_floor > 0) {
+    if (window.events_per_s < slo_.events_per_s_floor) {
+      PEERSCOPE_METRIC_INC("watchdog.violations");
+      if (++window.rate_strikes >= kSustain) {
+        trip(window, arm,
+             "events/s " + fixed(window.events_per_s, 0) +
+                 " below floor " + fixed(slo_.events_per_s_floor, 0) +
+                 " for " + std::to_string(window.rate_strikes) + " windows");
+        return;
+      }
+    } else {
+      window.rate_strikes = 0;
+    }
+  }
+
+  // Rejoin-latency ceiling (cumulative p99 published by the swarm's
+  // sampling hook; -1 until discovery has produced a rejoin).
+  const std::int64_t p99 =
+      live.progress.rejoin_p99_ns.load(std::memory_order_relaxed);
+  if (slo_.rejoin_p99_ceiling_ns > 0 && p99 >= 0) {
+    if (p99 > slo_.rejoin_p99_ceiling_ns) {
+      PEERSCOPE_METRIC_INC("watchdog.violations");
+      if (++window.rejoin_strikes >= kSustain) {
+        trip(window, arm,
+             "discovery rejoin p99 " + std::to_string(p99) +
+                 "ns above ceiling " +
+                 std::to_string(slo_.rejoin_p99_ceiling_ns) + "ns for " +
+                 std::to_string(window.rejoin_strikes) + " windows");
+      }
+    } else {
+      window.rejoin_strikes = 0;
+    }
+  }
+}
+
+void LiveMonitor::trip(Window& window, Arm& arm, std::string reason) {
+  window.tripped = true;
+  arm.violation = std::move(reason);
+  PEERSCOPE_TRACE_INSTANT("watchdog.slo_violation");
+  PEERSCOPE_METRIC_INC("watchdog.trips");
+  // Rings are per-thread and this thread outlives the run: flush now
+  // so the verdict reaches the batch timeline while the run unwinds.
+  obs::trace_flush();
+  arm.token->request();
+}
+
+std::string LiveMonitor::render(std::string_view phase) const {
   std::string out = "{\"schema\":";
   util::json::append_string(out, kStatusSchema);
   out += ",\"phase\":";
   util::json::append_string(out, phase);
   out += ",\"runs\":[";
   for (std::size_t i = 0; i < runs_.size(); ++i) {
-    LiveRun& live = runs_[i];
-    Baseline& base = baselines_[i];
+    const LiveRun& live = runs_[i];
+    const Window& window = windows_[i];
     const int state = live.state.load(std::memory_order_acquire);
-    const std::uint64_t events =
-        live.progress.events.load(std::memory_order_relaxed);
-    const std::int64_t sim_ns =
-        live.progress.sim_time_ns.load(std::memory_order_relaxed);
-    // Rates come from deltas between renders; an attempt restart
-    // (progress reset) shows up as a backwards step and re-primes.
-    if (base.primed && events >= base.events && sim_ns >= base.sim_ns) {
-      const double dt = std::chrono::duration<double>(now - base.at).count();
-      if (dt > 0) {
-        base.events_per_s =
-            static_cast<double>(events - base.events) / dt;
-        base.sim_rate =
-            static_cast<double>(sim_ns - base.sim_ns) / 1e9 / dt;
-      }
-    } else {
-      base.events_per_s = 0;
-      base.sim_rate = 0;
-    }
-    base.events = events;
-    base.sim_ns = sim_ns;
-    base.at = now;
-    base.primed = true;
-
     double eta_s = -1;
-    if (state == LiveRun::kRunning && base.sim_rate > 0 &&
+    if (state == LiveRun::kRunning && window.sim_rate > 0 &&
         live.duration_s > 0) {
       const double remaining =
-          live.duration_s - static_cast<double>(sim_ns) / 1e9;
-      eta_s = remaining > 0 ? remaining / base.sim_rate : 0;
+          live.duration_s - static_cast<double>(window.sim_ns) / 1e9;
+      eta_s = remaining > 0 ? remaining / window.sim_rate : 0;
     }
 
     if (i > 0) out += ',';
@@ -134,12 +249,12 @@ std::string StatusReporter::render(std::string_view phase) {
     util::json::append_string(out, live.spec);
     out += ",\"state\":";
     util::json::append_string(out, state_label(state));
-    out += ",\"attempts\":" +
-           std::to_string(live.attempts.load(std::memory_order_relaxed));
-    out += ",\"events\":" + std::to_string(events);
-    out += ",\"sim_time_s\":" + fixed3(static_cast<double>(sim_ns) / 1e9);
-    out += ",\"events_per_s\":" + fixed3(base.events_per_s);
-    out += ",\"eta_s\":" + fixed3(eta_s);
+    out += ",\"attempts\":" + std::to_string(window.attempt);
+    out += ",\"events\":" + std::to_string(window.events);
+    out += ",\"sim_time_s\":" +
+           fixed(static_cast<double>(window.sim_ns) / 1e9, 3);
+    out += ",\"events_per_s\":" + fixed(window.events_per_s, 3);
+    out += ",\"eta_s\":" + fixed(eta_s, 3);
     out += '}';
   }
   out += "]}\n";

@@ -1,18 +1,29 @@
-// Live batch introspection: an atomically-rewritten status.json.
+// The live monitor: one wall-clock sampler per supervised batch
+// (DESIGN.md §17).
 //
 // A 181k-peer batch is a black box between launch and exit unless the
-// supervisor publishes where it is. StatusReporter owns a background
-// thread that periodically renders every run's live state — supervisor
-// phase, attempt count, events executed, sim time, events/s, ETA —
-// into `peerscope.status/1` JSON and atomically replaces the status
-// file (rename, non-durable: a stale status after a crash is
-// harmless, and fsyncing four times a second is not). `peerscope
-// watch` tails that file from another process; because every rewrite
-// is a rename, a reader never observes a torn document.
+// supervisor publishes where it is, and a wedged or starving run needs
+// someone to notice. LiveMonitor owns one thread that, every kPoll,
+// reads each run's live state once and derives one window per run:
+// events/s, sim seconds per wall second, and how long sim time has
+// been frozen. That window feeds both consumers:
 //
-// The task threads never block for the reporter: each run's LiveRun
-// is all-atomic, written with relaxed stores from the run loop and
-// the engine's progress hook, read by the reporter thread alone.
+//   - status.json (`peerscope.status/1`), atomically renamed over the
+//     status file (non-durable: a stale status after a crash is
+//     harmless), so `peerscope watch` never reads a torn document;
+//   - the declarative SLOs, whose sustained violation cancels the
+//     attempt (the supervisor reports "slo violation: ...", exit 10).
+//
+// The window re-primes whenever a run's attempt number changes or its
+// RunProgress::active flag flips, so it never spans two attempts or
+// the gap between them. Wall clock, not the sim-time series grid: a
+// stalled run reaches no grid point, and the grid is off unless
+// --series is set.
+//
+// The task threads never block for the monitor: each LiveRun is
+// all-atomic. Only attaching and detaching an attempt's cancel token
+// take the monitor's mutex, so a trip never touches a token whose
+// attempt has returned.
 #pragma once
 
 #include <atomic>
@@ -26,14 +37,34 @@
 #include <thread>
 #include <vector>
 
-#include "obs/watchdog.hpp"
+#include "obs/progress.hpp"
+#include "util/cancel.hpp"
+#include "util/mutex.hpp"
 
 namespace peerscope::exp {
 
 inline constexpr const char* kStatusSchema = "peerscope.status/1";
 
+/// Declarative SLOs; a zero threshold disables that objective. Floor
+/// and ceiling violations must persist for LiveMonitor::kSustain
+/// consecutive windows before tripping (one slow window is noise); a
+/// sim-time stall trips as soon as no event has advanced sim time for
+/// `stall_window_s` wall seconds, because the engine publishes
+/// progress every 256 events even when sim time crawls — silence that
+/// long means the run is wedged.
+struct SloSpec {
+  double events_per_s_floor = 0;
+  double stall_window_s = 0;
+  std::int64_t rejoin_p99_ceiling_ns = 0;
+
+  [[nodiscard]] bool enabled() const noexcept {
+    return events_per_s_floor > 0 || stall_window_s > 0 ||
+           rejoin_p99_ceiling_ns > 0;
+  }
+};
+
 /// One run's live, lock-free state. The strings are immutable after
-/// construction; everything mutable is atomic, so the reporter thread
+/// construction; everything mutable is atomic, so the monitor thread
 /// reads concurrently with the task thread without a lock (and under
 /// TSan).
 struct LiveRun {
@@ -42,58 +73,101 @@ struct LiveRun {
   static constexpr int kPending = -1;
   static constexpr int kRunning = -2;
 
-  LiveRun(std::string spec_id, double run_duration_s)
-      : spec(std::move(spec_id)), duration_s(run_duration_s) {}
+  LiveRun(std::string spec_id, double run_duration_s, std::size_t slot)
+      : spec(std::move(spec_id)), duration_s(run_duration_s), index(slot) {}
 
   const std::string spec;
   const double duration_s;
+  const std::size_t index;  // position in the monitor's run list
   obs::RunProgress progress;
   std::atomic<int> state{kPending};
   std::atomic<int> attempts{0};
 };
 
-/// Background status.json writer. Add every run before start(); the
+/// The batch's one live sampler. Add every run before start(); the
 /// LiveRun references stay stable (deque) for the batch's lifetime.
-class StatusReporter {
+class LiveMonitor {
  public:
-  explicit StatusReporter(
-      std::filesystem::path path,
-      std::chrono::milliseconds poll = std::chrono::milliseconds{250});
-  ~StatusReporter();
+  using Clock = std::chrono::steady_clock;
 
-  StatusReporter(const StatusReporter&) = delete;
-  StatusReporter& operator=(const StatusReporter&) = delete;
+  /// Sampling period of the monitor thread.
+  static constexpr std::chrono::milliseconds kPoll{200};
+  /// Consecutive violating windows before a floor/ceiling SLO trips.
+  static constexpr int kSustain = 3;
+
+  /// An empty `status_path` publishes no status.json; a disabled `slo`
+  /// judges nothing.
+  LiveMonitor(std::filesystem::path status_path, SloSpec slo);
+  ~LiveMonitor();
+
+  LiveMonitor(const LiveMonitor&) = delete;
+  LiveMonitor& operator=(const LiveMonitor&) = delete;
 
   /// Registers a run; call only before start().
   LiveRun& add_run(std::string spec_id, double run_duration_s);
 
-  /// Writes the first snapshot and starts the rewrite thread.
+  /// Takes the first sample and starts the sampling thread.
   void start();
 
-  /// Joins the thread and writes the final "done" snapshot.
-  /// Idempotent; the destructor calls it.
+  /// Wakes and joins the thread at once, then writes the final "done"
+  /// snapshot. Idempotent; the destructor calls it.
   void stop();
 
- private:
-  void run();
-  [[nodiscard]] std::string render(std::string_view phase);
+  /// Arms the SLOs on `live`'s current attempt: a trip requests
+  /// `token`. The token must stay alive until detach().
+  void attach(const LiveRun& live, util::CancelToken& token);
 
-  std::filesystem::path path_;
-  std::chrono::milliseconds poll_;
-  std::deque<LiveRun> runs_;
-  /// events/s baselines, reporter-thread-only (render is also called
-  /// from start/stop, strictly before the thread exists / after it
-  /// joined).
-  struct Baseline {
+  /// Disarms the attempt and returns the violation that tripped it,
+  /// or an empty string. After it returns the monitor holds no
+  /// reference to the token.
+  [[nodiscard]] std::string detach(const LiveRun& live);
+
+  /// One tick: reads every run once, advances its window, checks the
+  /// SLOs of attached attempts, and rewrites status.json. The sampling
+  /// thread calls it every kPoll; tests drive it with synthetic time
+  /// points (never while the thread runs).
+  void sample(Clock::time_point now);
+
+ private:
+  /// One run's wall-clock window; touched by sample() alone.
+  struct Window {
+    int attempt = -1;  // -1 until the first sample
+    bool active = false;
+    bool measured = false;  // the latest sample closed a full window
+    bool tripped = false;   // this attempt already tripped an SLO
     std::uint64_t events = 0;
     std::int64_t sim_ns = 0;
-    std::chrono::steady_clock::time_point at{};
+    Clock::time_point at{};
+    Clock::time_point advanced_at{};  // last sample that saw sim time move
     double events_per_s = 0;
     double sim_rate = 0;  // sim seconds per wall second
-    bool primed = false;
+    int rate_strikes = 0;
+    int rejoin_strikes = 0;
   };
-  std::vector<Baseline> baselines_;
-  std::atomic<bool> stop_{false};
+  /// The attempt a trip may cancel, and what tripped it.
+  struct Arm {
+    util::CancelToken* token = nullptr;
+    std::string violation;
+  };
+
+  void run();
+  /// sample() with the document phase; `warn` reports a failed write
+  /// (start/stop) instead of leaving it to the next tick.
+  void tick(Clock::time_point now, std::string_view phase, bool warn);
+  void advance(const LiveRun& live, Window& window, Clock::time_point now);
+  void check(const LiveRun& live, Window& window, Arm& arm,
+             Clock::time_point now) PS_REQUIRES(mutex_);
+  void trip(Window& window, Arm& arm, std::string reason) PS_REQUIRES(mutex_);
+  [[nodiscard]] std::string render(std::string_view phase) const;
+
+  const std::filesystem::path status_path_;
+  const SloSpec slo_;
+  std::deque<LiveRun> runs_;
+  std::vector<Window> windows_;
+  util::Mutex mutex_;
+  util::CondVar wake_;
+  std::vector<Arm> arms_ PS_GUARDED_BY(mutex_);
+  bool stopping_ PS_GUARDED_BY(mutex_) = false;
   bool started_ = false;
   std::thread thread_;
 };
@@ -117,7 +191,7 @@ struct StatusView {
   std::vector<StatusRunView> runs;
 };
 
-/// Parses a document written by StatusReporter with the shared strict
+/// Parses a document written by LiveMonitor with the shared strict
 /// JSON reader. Returns nullopt when the document does not parse, the
 /// schema is foreign, or a field is missing or mistyped.
 [[nodiscard]] std::optional<StatusView> parse_status(std::string_view json);

@@ -1,16 +1,15 @@
 #include "exp/supervisor.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <future>
 #include <iostream>
 #include <optional>
 #include <thread>
+#include <utility>
 
 #include "exp/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
 #include "util/cancel.hpp"
 #include "util/mutex.hpp"
 #include "util/rng.hpp"
@@ -49,6 +48,34 @@ void interruptible_sleep(std::chrono::milliseconds total,
     std::this_thread::sleep_for(std::min(left, milliseconds{20}));
   }
 }
+
+/// Arms the live monitor on one attempt's cancel token and disarms it
+/// on every exit path, so a trip never reaches a token whose attempt
+/// has returned.
+class WatchedAttempt {
+ public:
+  /// `live` is non-null whenever `monitor` is.
+  WatchedAttempt(LiveMonitor* monitor, const LiveRun* live,
+                 util::CancelToken& token)
+      : monitor_(monitor), live_(live) {
+    if (monitor_ != nullptr) monitor_->attach(*live_, token);
+  }
+  ~WatchedAttempt() { (void)finish(); }
+
+  WatchedAttempt(const WatchedAttempt&) = delete;
+  WatchedAttempt& operator=(const WatchedAttempt&) = delete;
+
+  /// Disarms now; returns the SLO violation that cancelled the
+  /// attempt, or an empty string.
+  std::string finish() {
+    if (monitor_ == nullptr) return {};
+    return std::exchange(monitor_, nullptr)->detach(*live_);
+  }
+
+ private:
+  LiveMonitor* monitor_;
+  const LiveRun* live_;
+};
 
 }  // namespace
 
@@ -110,25 +137,21 @@ BatchOutcome supervise_runs(const net::AsTopology& topo,
   outcome.runs.resize(specs.size());
   util::Mutex journal_mutex;
 
-  // Live introspection: a LiveRun per spec whenever something will
-  // observe it — the status reporter, the SLO watchdog, or both. With
-  // neither configured no LiveRun exists and the run loop is
+  // Live introspection: one monitor samples a LiveRun per spec
+  // whenever something consumes it — status.json, the SLOs, or both.
+  // With neither configured no LiveRun exists and the run loop is
   // byte-for-byte the old one.
-  std::optional<StatusReporter> reporter;
-  if (!config.status_path.empty()) {
-    reporter.emplace(config.status_path);
-  }
-  std::deque<LiveRun> slo_runs;  // watchdog-only storage (no reporter)
+  std::optional<LiveMonitor> monitor;
   std::vector<LiveRun*> lives(specs.size(), nullptr);
-  if (reporter.has_value() || config.slo.enabled()) {
+  if (!config.status_path.empty() || config.slo.enabled()) {
+    monitor.emplace(config.status_path, config.slo);
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      const double duration_s = specs[i].duration.seconds();
-      lives[i] = reporter.has_value()
-                     ? &reporter->add_run(spec_id(specs[i]), duration_s)
-                     : &slo_runs.emplace_back(spec_id(specs[i]), duration_s);
+      lives[i] =
+          &monitor->add_run(spec_id(specs[i]), specs[i].duration.seconds());
     }
+    monitor->start();
   }
-  if (reporter.has_value()) reporter->start();
+  LiveMonitor* const monitor_ptr = monitor ? &*monitor : nullptr;
 
   std::vector<std::future<void>> futures;
   futures.reserve(specs.size());
@@ -159,7 +182,7 @@ BatchOutcome supervise_runs(const net::AsTopology& topo,
 
     futures.push_back(pool.submit([&topo, &spec, &status, &run_fn, &config,
                                    &pool, &journal_mutex, &blob_dir,
-                                   journaled, live] {
+                                   journaled, live, monitor_ptr] {
       const int max_attempts = 1 + std::max(0, config.retries);
       for (int attempt = 1; attempt <= max_attempts; ++attempt) {
         PEERSCOPE_TRACE_INSTANT("exp.run_attempt");
@@ -170,16 +193,13 @@ BatchOutcome supervise_runs(const net::AsTopology& topo,
         }
         RunSpec attempt_spec = spec;
         attempt_spec.cancel = &token;
-        std::optional<obs::Watchdog> watchdog;
         if (live != nullptr) {
           live->progress.reset();
           live->attempts.store(attempt, std::memory_order_relaxed);
           live->state.store(LiveRun::kRunning, std::memory_order_release);
           attempt_spec.progress = &live->progress;
-          if (config.slo.enabled()) {
-            watchdog.emplace(config.slo, &live->progress, &token);
-          }
         }
+        WatchedAttempt watched{monitor_ptr, live, token};
         try {
           RunResult result = run_fn(topo, attempt_spec);
           status.state = RunState::kOk;
@@ -189,21 +209,19 @@ BatchOutcome supervise_runs(const net::AsTopology& topo,
           if (obs::enabled()) obs::counter("exp.runs_ok").add();
           break;
         } catch (const util::Cancelled& cancelled) {
-          if (watchdog.has_value()) {
-            watchdog->stop();
-            if (watchdog->tripped()) {
-              // The watchdog cancelled this run, not the deadline: a
-              // sustained SLO violation is terminal (the next attempt
-              // would violate the same objective) and distinguishable
-              // downstream — the CLI maps this error prefix to exit
-              // code 10.
-              status.state = RunState::kFailed;
-              status.attempts = attempt;
-              status.error = "slo violation: " + watchdog->reason();
-              PEERSCOPE_TRACE_INSTANT("exp.run_failed");
-              if (obs::enabled()) obs::counter("exp.runs_failed").add();
-              break;
-            }
+          if (const std::string violation = watched.finish();
+              !violation.empty()) {
+            // The monitor cancelled this run, not the deadline: a
+            // sustained SLO violation is terminal (the next attempt
+            // would violate the same objective) and distinguishable
+            // downstream — the CLI maps this error prefix to exit
+            // code 10.
+            status.state = RunState::kFailed;
+            status.attempts = attempt;
+            status.error = "slo violation: " + violation;
+            PEERSCOPE_TRACE_INSTANT("exp.run_failed");
+            if (obs::enabled()) obs::counter("exp.runs_failed").add();
+            break;
           }
           // A deadline overrun is a property of the spec at this
           // scale, not a transient fault: retrying would burn another
@@ -215,6 +233,7 @@ BatchOutcome supervise_runs(const net::AsTopology& topo,
           if (obs::enabled()) obs::counter("exp.runs_timed_out").add();
           break;
         } catch (const std::exception& error) {
+          (void)watched.finish();  // nothing to judge during a backoff
           status.state = RunState::kFailed;
           status.attempts = attempt;
           status.error = error.what();
@@ -293,7 +312,7 @@ BatchOutcome supervise_runs(const net::AsTopology& topo,
   // Drain everything; task bodies capture their own failures, so a
   // throw here is an infrastructure bug worth surfacing.
   for (auto& f : futures) f.get();
-  if (reporter.has_value()) reporter->stop();  // final "done" snapshot
+  if (monitor.has_value()) monitor->stop();  // final "done" snapshot
   return outcome;
 }
 

@@ -84,16 +84,17 @@ struct SupervisorConfig {
   /// a post-mortem timeline for exactly the runs that need one.
   /// 0 disables the dump.
   std::size_t flight_recorder_events = 512;
-  /// Declarative SLOs (obs/watchdog.hpp): when any objective is set, a
-  /// watchdog per attempt polls the run's live progress and cancels it
-  /// on sustained violation; the run lands as kFailed with an "slo
+  /// Declarative SLOs (exp/status.hpp): when any objective is set, the
+  /// batch's live monitor judges each attempt's progress and cancels
+  /// it on sustained violation; the run lands as kFailed with an "slo
   /// violation: ..." error the CLI maps to exit 10, plus the flight-
-  /// recorder dump above. Default (all-zero) runs no watchdog thread.
-  obs::SloSpec slo;
-  /// Live status.json path (exp/status.hpp): non-empty starts a
-  /// StatusReporter that atomically rewrites per-run phase / events/s
+  /// recorder dump above. Default (all-zero) judges nothing.
+  SloSpec slo;
+  /// Live status.json path (exp/status.hpp): non-empty makes the
+  /// batch's live monitor atomically rewrite per-run phase / events/s
   /// / ETA for `peerscope watch`. Empty (the default) publishes
-  /// nothing.
+  /// nothing. With neither this nor an SLO set, no monitor thread
+  /// runs.
   std::filesystem::path status_path;
 };
 

@@ -7,7 +7,7 @@
 #include "obs/metrics.hpp"
 #include "obs/span.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
+#include "obs/progress.hpp"
 #include "p2p/selection.hpp"
 #include "sim/packet.hpp"
 #include "sim/train.hpp"
@@ -1109,7 +1109,27 @@ void Swarm::run() {
         [this, probe_index] { spawn_requester(probes_[probe_index]); });
   }
 
-  engine_.run_until(config_.duration);
+  {
+    // Observers may judge progress only while the engine runs: the
+    // flag goes up here and down on every exit path, util::Cancelled
+    // included, so trace export after the run never reads as a stall.
+    struct ActiveWindow {
+      obs::RunProgress* progress;
+      explicit ActiveWindow(obs::RunProgress* p) : progress(p) {
+        if (progress != nullptr) {
+          progress->active.store(true, std::memory_order_release);
+        }
+      }
+      ~ActiveWindow() {
+        if (progress != nullptr) {
+          progress->active.store(false, std::memory_order_release);
+        }
+      }
+      ActiveWindow(const ActiveWindow&) = delete;
+      ActiveWindow& operator=(const ActiveWindow&) = delete;
+    } active{config_.progress};
+    engine_.run_until(config_.duration);
+  }
 
   if (discovery_) {
     // Merge the service-owned control-plane counters; the NAT and
@@ -1205,7 +1225,7 @@ void Swarm::sample_interval(bool series_on, std::uint64_t index,
                             SimTime at) {
   // Fold the rejoin latencies that completed since the previous grid
   // point into (a) this interval's histogram and (b) the cumulative
-  // one whose p99 the SLO watchdog compares against its ceiling.
+  // one whose p99 the live monitor compares against its SLO ceiling.
   obs::LogHistogram rejoins;
   if (discovery_) {
     const auto& latencies = discovery_->rejoin_latencies();

@@ -70,9 +70,9 @@ struct SwarmConfig {
   /// under when a TimeseriesRecorder is installed (obs::install_series).
   /// Empty falls back to the profile name.
   std::string series_key;
-  /// Live progress sink for the status reporter / SLO watchdog (see
-  /// obs/watchdog.hpp); nullptr (the default) publishes nothing. The
-  /// sink must outlive the run.
+  /// Live progress sink for the live monitor (see obs/progress.hpp):
+  /// Swarm::run marks it active exactly while its engine runs. nullptr
+  /// (the default) publishes nothing. The sink must outlive the run.
   obs::RunProgress* progress = nullptr;
 };
 
@@ -294,7 +294,7 @@ class Swarm {
   /// Delta baselines for the sim-time sampling grid: the previous grid
   /// point's counters, plus the rejoin-latency samples already folded
   /// into per-interval histograms and the cumulative one whose p99
-  /// feeds the watchdog.
+  /// feeds the SLO check.
   struct SampleState {
     Counters prev;
     DiscoveryCounters prev_discovery;

@@ -4,7 +4,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "obs/watchdog.hpp"
+#include "obs/progress.hpp"
 
 namespace peerscope::sim {
 

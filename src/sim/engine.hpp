@@ -163,8 +163,8 @@ class Engine {
   }
 
   /// Installs a live progress sink: executed-event count and sim time
-  /// are published with relaxed stores at the cancel-poll stride so a
-  /// watchdog or status reporter on another thread can read them.
+  /// are published with relaxed stores at the cancel-poll stride so the
+  /// live monitor (exp/status.hpp) on another thread can read them.
   /// nullptr (the default) keeps the loop free of the stores. The
   /// sink must outlive the run.
   void set_progress(obs::RunProgress* progress) noexcept {

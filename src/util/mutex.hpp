@@ -19,6 +19,7 @@
 //   while (!ready_) cv_.wait(mutex_);
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -71,6 +72,17 @@ class CondVar {
   void wait(Mutex& mu) PS_REQUIRES(mu) {
     std::unique_lock<std::mutex> adopted{mu.mu_, std::adopt_lock};
     cv_.wait(adopted);
+    adopted.release();
+  }
+
+  /// wait() that also returns once `deadline` passes; loop on the
+  /// condition and the clock, exactly as for wait().
+  template <class Clock, class Duration>
+  void wait_until(Mutex& mu,
+                  const std::chrono::time_point<Clock, Duration>& deadline)
+      PS_REQUIRES(mu) {
+    std::unique_lock<std::mutex> adopted{mu.mu_, std::adopt_lock};
+    cv_.wait_until(adopted, deadline);
     adopted.release();
   }
 

@@ -1,4 +1,4 @@
-// Supervisor-level SLO watchdog wiring and the §5.6 pool-size
+// Supervisor-level live-monitor and SLO wiring and the §5.6 pool-size
 // independence of the time-series sidecar: a sustained violation is
 // terminal (no retry burn-down), dumps the flight recorder, and the
 // series a batch records is byte-identical at any thread-pool width.
@@ -52,7 +52,7 @@ RunResult fake_result(std::uint64_t marker) {
 
 /// run_fn stand-in that behaves like a starving swarm: it publishes
 /// live progress far below any reasonable floor and honours the
-/// cooperative cancel token, so only the watchdog can end it.
+/// cooperative cancel token, so only an SLO trip can end it.
 RunResult starving_run(const RunSpec& spec) {
   if (spec.progress != nullptr) {
     spec.progress->active.store(true, std::memory_order_release);
@@ -89,8 +89,6 @@ TEST_F(SupervisorSloTest, SustainedViolationIsTerminalDespiteRetries) {
   SupervisorConfig config;
   config.retries = 3;  // must NOT be burned on an SLO trip
   config.slo.events_per_s_floor = 1e15;
-  config.slo.poll = milliseconds{5};
-  config.slo.sustain = 2;
   config.run_fn = [&calls](const net::AsTopology&, const RunSpec& spec) {
     ++calls;
     return starving_run(spec);
@@ -113,7 +111,6 @@ TEST_F(SupervisorSloTest, HealthyRunsPassUnderAnActiveWatchdog) {
   const RunSpec specs[] = {tiny_spec(1), tiny_spec(2)};
   SupervisorConfig config;
   config.slo.events_per_s_floor = 1.0;  // trivially satisfied
-  config.slo.poll = milliseconds{5};
   config.run_fn = [](const net::AsTopology&, const RunSpec& spec) {
     if (spec.progress != nullptr) {
       spec.progress->active.store(true, std::memory_order_release);
@@ -136,8 +133,6 @@ TEST_F(SupervisorSloTest, SloTripDumpsTheFlightRecorder) {
   SupervisorConfig config;
   config.journal = dir_ / "experiment.journal";
   config.slo.events_per_s_floor = 1e15;
-  config.slo.poll = milliseconds{5};
-  config.slo.sustain = 2;
   config.run_fn = [](const net::AsTopology&, const RunSpec& spec) {
     PEERSCOPE_TRACE_INSTANT("exp.run_attempt");
     return starving_run(spec);
@@ -162,8 +157,8 @@ TEST_F(SupervisorSloTest, SloTripDumpsTheFlightRecorder) {
     if (event.name == "exp.run_failed") dump_has_failure = true;
   }
   EXPECT_TRUE(dump_has_failure);
-  // The watchdog thread flushes its verdict on trip, so the batch
-  // timeline records the violation even though that thread is gone.
+  // The monitor thread flushes its verdict on trip, so the batch
+  // timeline records the violation that cancelled the run.
   bool saw_violation = false;
   for (const auto& event : timeline.events) {
     if (event.name == "watchdog.slo_violation") saw_violation = true;

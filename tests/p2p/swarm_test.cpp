@@ -4,6 +4,9 @@
 
 #include <span>
 
+#include "obs/progress.hpp"
+#include "util/cancel.hpp"
+
 namespace peerscope::p2p {
 namespace {
 
@@ -87,6 +90,35 @@ TEST(Swarm, RunTwiceThrows) {
   Swarm swarm{topo(), probes, tiny_config()};
   swarm.run();
   EXPECT_THROW(swarm.run(), std::logic_error);
+}
+
+TEST(Swarm, ProgressIsActiveOnlyWhileTheEngineRuns) {
+  // A stale "active" from the caller must not outlive Swarm::run: the
+  // live monitor would judge post-run export as a stall.
+  const auto probes = table1_probes();
+  obs::RunProgress progress;
+  SwarmConfig cfg = tiny_config(1, SimTime::seconds(5));
+  cfg.progress = &progress;
+  Swarm swarm{topo(), probes, cfg};
+  progress.active.store(true);
+  swarm.run();
+  EXPECT_FALSE(progress.active.load());
+  EXPECT_GT(progress.events.load(), 0u);
+  EXPECT_GT(progress.sim_time_ns.load(), 0);
+}
+
+TEST(Swarm, CancelledRunClearsProgressActive) {
+  const auto probes = table1_probes();
+  obs::RunProgress progress;
+  util::CancelToken token;
+  token.request();
+  SwarmConfig cfg = tiny_config(1, SimTime::seconds(5));
+  cfg.progress = &progress;
+  cfg.cancel = &token;
+  Swarm swarm{topo(), probes, cfg};
+  progress.active.store(true);
+  EXPECT_THROW(swarm.run(), util::Cancelled);
+  EXPECT_FALSE(progress.active.load());
 }
 
 TEST(Swarm, ProbesUploadToRequesters) {

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/watchdog.hpp"
+#include "obs/progress.hpp"
 
 namespace peerscope::sim {
 namespace {
@@ -129,6 +129,19 @@ TEST(EngineProgress, PublishesFinalCountsAfterADrive) {
   // now() ends at the last executed event, never at the horizon.
   EXPECT_EQ(progress.events.load(), 2u);
   EXPECT_EQ(progress.sim_time_ns.load(), SimTime::millis(7).ns());
+}
+
+TEST(RunProgress, ResetClearsEverything) {
+  obs::RunProgress progress;
+  progress.events.store(9);
+  progress.sim_time_ns.store(9);
+  progress.rejoin_p99_ns.store(9);
+  progress.active.store(true);
+  progress.reset();
+  EXPECT_EQ(progress.events.load(), 0u);
+  EXPECT_EQ(progress.sim_time_ns.load(), 0);
+  EXPECT_EQ(progress.rejoin_p99_ns.load(), -1);
+  EXPECT_FALSE(progress.active.load());
 }
 
 TEST(EngineProgress, NullSinkIsTheDefaultAndSafe) {

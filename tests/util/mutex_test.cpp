@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -103,6 +104,19 @@ TEST(CondVarTest, NotifyAllReleasesEveryWaiter) {
   cv.notify_all();
   for (auto& t : waiters) t.join();
   EXPECT_EQ(woke, kWaiters);
+}
+
+TEST(CondVarTest, WaitUntilReturnsOnceTheDeadlinePasses) {
+  Mutex mu;
+  CondVar cv;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds{5};
+  const MutexLock lock{mu};
+  // Nobody notifies: only the deadline can end the loop.
+  while (std::chrono::steady_clock::now() < deadline) {
+    cv.wait_until(mu, deadline);
+  }
+  EXPECT_GE(std::chrono::steady_clock::now(), deadline);
 }
 
 }  // namespace

@@ -121,9 +121,10 @@
 // Supervised runs accept declarative SLOs (DESIGN.md §17): an
 // events/s floor (--slo-events-floor), a sim-time stall window
 // (--slo-stall), and a discovery rejoin-latency p99 ceiling
-// (--slo-rejoin-p99-ms). A watchdog thread polls live progress and a
-// sustained violation cancels the run, dumps the flight recorder
-// (journaled runs), and exits 10.
+// (--slo-rejoin-p99-ms). The supervisor's one live monitor thread
+// (the same sampler that writes --watch-status) judges each run's
+// progress window, and a sustained violation cancels the run, dumps
+// the flight recorder (journaled runs), and exits 10.
 //
 // bench-diff: `peerscope bench-diff COMMITTED FRESH [--budget-pct P]`
 // diffs a fresh PEERSCOPE_BENCH_JSON document against the committed
@@ -174,7 +175,6 @@
 #include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_summary.hpp"
-#include "obs/watchdog.hpp"
 #include "p2p/swarm.hpp"
 #include "tools/reproduce.hpp"
 #include "trace/binary_format.hpp"
@@ -279,7 +279,7 @@ struct RunArgs {
   double deadline_s = 0.0;
   bool resume = false;
   // Declarative SLOs + live status publishing (DESIGN.md §17).
-  obs::SloSpec slo;
+  exp::SloSpec slo;
   std::filesystem::path status_path;
   sim::ImpairmentSpec impairment;
   p2p::ChurnSpec churn;
@@ -652,36 +652,7 @@ int cmd_run(const RunArgs& args) {
   // --resume skip a finished run outright.
   supervision.run_fn = [&args, &testbed](const net::AsTopology& t,
                                          const exp::RunSpec& s) {
-    p2p::SwarmConfig config;
-    config.profile = s.profile;
-    config.seed = s.seed;
-    config.duration = s.duration;
-    config.keep_records = true;
-    config.impairment = s.impairment;
-    config.churn = s.churn;
-    config.discovery = s.discovery;
-    config.cancel = s.cancel;
-    // Mirror run_experiment: series rows key on the stable journal
-    // identity, and the progress sink is live only while the swarm
-    // may still advance it (the watchdog must not judge a dead
-    // attempt's frozen counters).
-    config.series_key = exp::spec_id(s);
-    config.progress = s.progress;
-    struct ProgressGuard {
-      obs::RunProgress* progress;
-      explicit ProgressGuard(obs::RunProgress* p) : progress(p) {
-        if (progress != nullptr) {
-          progress->active.store(true, std::memory_order_release);
-        }
-      }
-      ~ProgressGuard() {
-        if (progress != nullptr) {
-          progress->active.store(false, std::memory_order_release);
-        }
-      }
-    } progress_guard{s.progress};
-
-    p2p::Swarm swarm{t, testbed.probes(), config};
+    p2p::Swarm swarm{t, testbed.probes(), exp::swarm_config(s)};
     swarm.run();
     if (s.discovery.rejoin_deadline > util::SimTime::zero()) {
       const auto report = swarm.discovery_report();
@@ -692,8 +663,8 @@ int cmd_run(const RunArgs& args) {
 
     const auto& population = swarm.population();
     exp::ExperimentMetadata meta;
-    meta.app = config.profile.name;
-    meta.duration = config.duration;
+    meta.app = s.profile.name;
+    meta.duration = s.duration;
     meta.announcements = population.registry().dump();
     meta.impairment = s.impairment;
     meta.churn = s.churn;
