@@ -25,8 +25,7 @@ exp::RunSpec base_spec(const BenchConfig& cfg) {
 }  // namespace
 
 int main() {
-  bench::MetricsSession metrics_session;
-  bench::TraceSession trace_session;
+  bench::Session session{"bench_ablation_selection"};
   const BenchConfig cfg = BenchConfig::from_env();
   const net::AsTopology topo = net::make_reference_topology();
 

@@ -110,9 +110,7 @@ LevelOutcome analyse(const std::vector<exp::RunResult>& results,
 }  // namespace
 
 int main() {
-  bench::BenchJsonSession json_session{"degradation"};
-  bench::MetricsSession metrics_session;
-  bench::TraceSession trace_session;
+  bench::Session session{"degradation"};
   const BenchConfig cfg = BenchConfig::from_env();
   const net::AsTopology topo = net::make_reference_topology();
   std::cout << "=== Degradation sweep: Table IV BW row + Figure 2 ratios "

@@ -13,8 +13,7 @@ using namespace peerscope;
 using namespace peerscope::bench;
 
 int main() {
-  bench::MetricsSession metrics_session;
-  bench::TraceSession trace_session;
+  bench::Session session{"bench_fig1"};
   const BenchConfig cfg = BenchConfig::from_env();
   const net::AsTopology topo = net::make_reference_topology();
   std::cout << "=== Figure 1: geographical breakdown (percent of peers / "

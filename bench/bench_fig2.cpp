@@ -37,8 +37,7 @@ void print_matrix(const aware::ExperimentObservations& data) {
 }  // namespace
 
 int main() {
-  bench::MetricsSession metrics_session;
-  bench::TraceSession trace_session;
+  bench::Session session{"bench_fig2"};
   const BenchConfig cfg = BenchConfig::from_env();
   const net::AsTopology topo = net::make_reference_topology();
   std::cout << "=== Figure 2: mean exchanged data among institution ASes "

@@ -20,9 +20,9 @@
 // the printed speedup documents the engine-rework gain (>=5x gate,
 // checked in the PR, advisory here).
 //
-//   PEERSCOPE_BENCH_JSON=1  writes bench_micro_engine.json
-//                           (peerscope.bench schema) for the
-//                           trajectory gate.
+// The bench session wraps only the calendar-soa run, so the
+// PEERSCOPE_BENCH_JSON summary the trajectory gate reads (and any
+// metrics/trace/series sidecar) describes the shipping engine alone.
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -217,7 +217,7 @@ int main() {
   std::printf("  %-14s %12s %9s %14s\n", "scheduler", "events", "wall_s",
               "events/s");
 
-  // Legacy first, current second, so the numbers the JSON session
+  // Legacy first, current second, so the numbers the session
   // captures (events executed + wall) describe the shipping engine.
   Workload<LegacyEngine> legacy{spec};
   const WorkloadResult before = legacy.run();
@@ -225,7 +225,7 @@ int main() {
 
   WorkloadResult after;
   {
-    bench::BenchJsonSession json{"bench_micro_engine"};
+    bench::Session session{"bench_micro_engine"};
     Workload<sim::Engine> current{spec};
     after = current.run();
   }

@@ -49,18 +49,15 @@ BENCHMARK(BM_SwarmPplive)->Arg(30)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
-// Expanded BENCHMARK_MAIN with the harness sessions wrapped around the
+// Expanded BENCHMARK_MAIN with the harness session wrapped around the
 // benchmark loop, so PEERSCOPE_BENCH_JSON / _SERIES capture the swarm
-// runs for the CI trajectory gate. All sessions are inert when their
+// runs for the CI trajectory gate. The session is inert when its
 // variables are unset — default output matches BENCHMARK_MAIN exactly.
 int main(int argc, char** argv) {
   ::benchmark::Initialize(&argc, argv);
   if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   {
-    bench::BenchJsonSession json_session{"bench_micro_swarm"};
-    bench::MetricsSession metrics_session;
-    bench::TraceSession trace_session;
-    bench::SeriesSession series_session;
+    bench::Session session{"bench_micro_swarm"};
     ::benchmark::RunSpecifiedBenchmarks();
   }
   ::benchmark::Shutdown();

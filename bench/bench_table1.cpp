@@ -9,8 +9,7 @@
 using namespace peerscope;
 
 int main() {
-  bench::MetricsSession metrics_session;
-  bench::TraceSession trace_session;
+  bench::Session session{"bench_table1"};
   const net::AsTopology topo = net::make_reference_topology();
   const exp::Testbed testbed = exp::Testbed::table1();
 

@@ -11,12 +11,7 @@ using namespace peerscope;
 using namespace peerscope::bench;
 
 int main() {
-  // JSON session first: it only claims the metrics/trace slots the
-  // explicit sessions below leave free (see BenchJsonSession docs).
-  bench::BenchJsonSession json_session{"bench_table2"};
-  bench::MetricsSession metrics_session;
-  bench::TraceSession trace_session;
-  bench::SeriesSession series_session;
+  bench::Session session{"bench_table2"};
   const BenchConfig cfg = BenchConfig::from_env();
   const net::AsTopology topo = net::make_reference_topology();
   std::cout << "=== Table II: experiment summary (paper vs measured, "

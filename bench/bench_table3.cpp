@@ -9,8 +9,7 @@ using namespace peerscope;
 using namespace peerscope::bench;
 
 int main() {
-  bench::MetricsSession metrics_session;
-  bench::TraceSession trace_session;
+  bench::Session session{"bench_table3"};
   const BenchConfig cfg = BenchConfig::from_env();
   const net::AsTopology topo = net::make_reference_topology();
   std::cout << "=== Table III: self-induced bias (paper vs measured) ===\n\n";

@@ -31,8 +31,7 @@ void add_rows(util::TextTable& table, const PaperAwareness& paper,
 }  // namespace
 
 int main() {
-  bench::MetricsSession metrics_session;
-  bench::TraceSession trace_session;
+  bench::Session session{"bench_table4"};
   const BenchConfig cfg = BenchConfig::from_env();
   const net::AsTopology topo = net::make_reference_topology();
   std::cout << "=== Table IV: network awareness, peer-wise (P) and "

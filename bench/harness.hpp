@@ -4,17 +4,16 @@
 #pragma once
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include <sys/resource.h>
@@ -23,13 +22,11 @@
 #include "aware/report.hpp"
 #include "exp/runner.hpp"
 #include "net/topology.hpp"
-#include "obs/json.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace_summary.hpp"
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
+#include "util/parse_int.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
@@ -37,30 +34,27 @@ namespace peerscope::bench {
 
 namespace detail {
 
-/// Strict positive-integer parse for environment knobs: the whole
-/// token must be a base-10 number in [1, max]. atoll-style silent
-/// acceptance of garbage ("30x" -> 30, "banana" -> 0, "-5" wrapping
-/// through strtoull) turned typos into surprising runs.
-inline std::uint64_t env_u64_or_die(const char* var, const char* text,
-                                    std::uint64_t max) {
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text, &end, 10);
-  const bool negative = [text] {
-    for (const char* p = text; *p != '\0'; ++p) {
-      if (*p == '-') return true;
-      if (*p != ' ' && *p != '\t') return false;
-    }
-    return false;
-  }();
-  if (end == text || *end != '\0' || negative || errno == ERANGE ||
-      v == 0 || v > max) {
+/// The integer knob `var`: `fallback` when unset, else a whole base-10
+/// number in [1, max] (util::parse_int). Anything else prints a usage
+/// line and exits 2 — a typo ("30x", "-5", "banana") must not become a
+/// run at a silently-mangled scale.
+template <class T>
+T env_int_or_die(const char* var, T fallback, std::type_identity_t<T> max) {
+  const char* text = std::getenv(var);
+  if (text == nullptr) return fallback;
+  const auto value = util::parse_int<T>(text, 1, max);
+  if (!value) {
     std::cerr << "invalid " << var << "=\"" << text << "\"\n"
               << "usage: " << var
               << " must be a positive base-10 integer <= " << max << '\n';
     std::exit(2);
   }
-  return v;
+  return *value;
+}
+
+inline std::filesystem::path env_path(const char* var) {
+  const char* value = std::getenv(var);
+  return value != nullptr ? value : "";
 }
 
 }  // namespace detail
@@ -82,17 +76,12 @@ struct BenchConfig {
 
   static BenchConfig from_env() {
     BenchConfig cfg;
-    if (const char* s = std::getenv("PEERSCOPE_BENCH_SECONDS")) {
-      // A year of simulated time is already far past any useful run.
-      cfg.seconds = static_cast<std::int64_t>(detail::env_u64_or_die(
-          "PEERSCOPE_BENCH_SECONDS", s, 31'536'000ULL));
-    }
+    cfg.seconds = detail::env_int_or_die("PEERSCOPE_BENCH_SECONDS",
+                                         cfg.seconds, exp::kMaxRunSeconds);
     cfg.full_scale = std::getenv("PEERSCOPE_BENCH_FULL_SCALE") != nullptr;
-    if (const char* s = std::getenv("PEERSCOPE_BENCH_SEED")) {
-      cfg.seed = detail::env_u64_or_die(
-          "PEERSCOPE_BENCH_SEED", s,
-          std::numeric_limits<std::uint64_t>::max());
-    }
+    cfg.seed = detail::env_int_or_die(
+        "PEERSCOPE_BENCH_SEED", cfg.seed,
+        std::numeric_limits<std::uint64_t>::max());
     if (const char* s = std::getenv("PEERSCOPE_BENCH_OUTDIR")) {
       cfg.outdir = s;
       std::filesystem::create_directories(*cfg.outdir);
@@ -101,183 +90,60 @@ struct BenchConfig {
   }
 };
 
-/// PEERSCOPE_BENCH_METRICS hook: construct one of these at the top of
-/// a bench main. When the variable names a path, a metrics registry is
-/// installed for the process lifetime and the full metrics.json is
-/// written there at scope exit; when unset this is inert and the bench
-/// output is byte-identical to an uninstrumented build.
-class MetricsSession {
- public:
-  MetricsSession() {
-    if (const char* path = std::getenv("PEERSCOPE_BENCH_METRICS")) {
-      path_ = path;
-      registry_ = std::make_unique<obs::MetricsRegistry>();
-      obs::install(registry_.get());
-    }
-  }
-  ~MetricsSession() {
-    if (!registry_) return;
-    obs::install(nullptr);
-    try {
-      obs::write_metrics_json(path_, registry_->snapshot());
-      std::cerr << "metrics: wrote " << path_.string() << '\n';
-    } catch (const std::exception& error) {
-      std::cerr << "metrics: " << error.what() << '\n';
-    }
-  }
-
-  MetricsSession(const MetricsSession&) = delete;
-  MetricsSession& operator=(const MetricsSession&) = delete;
-
- private:
-  std::filesystem::path path_;
-  std::unique_ptr<obs::MetricsRegistry> registry_;
-};
-
-/// PEERSCOPE_BENCH_TRACE hook: the tracing sibling of MetricsSession.
-/// When the variable names a path, an event recorder is installed for
-/// the process lifetime and the Chrome-compatible trace.json (schema
-/// peerscope.trace/1) is written there at scope exit; when unset this
-/// is inert and the bench output is byte-identical to an
-/// uninstrumented build. Construct it next to MetricsSession so drop
-/// accounting lands in the metrics sidecar too.
-class TraceSession {
- public:
-  TraceSession() {
-    if (const char* path = std::getenv("PEERSCOPE_BENCH_TRACE")) {
-      path_ = path;
-      recorder_ = std::make_unique<obs::TraceRecorder>();
-      obs::install_tracer(recorder_.get());
-    }
-  }
-  ~TraceSession() {
-    if (!recorder_) return;
-    obs::install_tracer(nullptr);
-    try {
-      obs::write_trace_json(path_, recorder_->snapshot());
-      std::cerr << "trace: wrote " << path_.string() << '\n';
-    } catch (const std::exception& error) {
-      std::cerr << "trace: " << error.what() << '\n';
-    }
-  }
-
-  TraceSession(const TraceSession&) = delete;
-  TraceSession& operator=(const TraceSession&) = delete;
-
- private:
-  std::filesystem::path path_;
-  std::unique_ptr<obs::TraceRecorder> recorder_;
-};
-
-/// PEERSCOPE_BENCH_SERIES hook: the time-series sibling of
-/// MetricsSession. When the variable names a path, a timeseries
-/// recorder is installed for the process lifetime — every run arms
-/// its sim-time sampling grid (PEERSCOPE_BENCH_SERIES_SECONDS
-/// intervals, default 10) — and the PSTS sidecar is written there at
-/// scope exit; read it with `peerscope timeline`. When unset this is
-/// inert and the bench output is byte-identical to an uninstrumented
-/// build.
-class SeriesSession {
- public:
-  SeriesSession() {
-    if (const char* path = std::getenv("PEERSCOPE_BENCH_SERIES")) {
-      path_ = path;
-      std::int64_t interval_s = 10;
-      if (const char* s = std::getenv("PEERSCOPE_BENCH_SERIES_SECONDS")) {
-        interval_s = static_cast<std::int64_t>(detail::env_u64_or_die(
-            "PEERSCOPE_BENCH_SERIES_SECONDS", s, 31'536'000ULL));
-      }
-      recorder_ = std::make_unique<obs::TimeseriesRecorder>(
-          util::SimTime::seconds(interval_s));
-      obs::install_series(recorder_.get());
-    }
-  }
-  ~SeriesSession() {
-    if (!recorder_) return;
-    obs::install_series(nullptr);
-    try {
-      obs::write_series(path_, recorder_->snapshot());
-      std::cerr << "series: wrote " << path_.string() << '\n';
-    } catch (const std::exception& error) {
-      std::cerr << "series: " << error.what() << '\n';
-    }
-  }
-
-  SeriesSession(const SeriesSession&) = delete;
-  SeriesSession& operator=(const SeriesSession&) = delete;
-
- private:
-  std::filesystem::path path_;
-  std::unique_ptr<obs::TimeseriesRecorder> recorder_;
-};
-
-/// PEERSCOPE_BENCH_JSON hook: machine-readable performance summary for
-/// CI trend tracking. When the variable names a path, the session
-/// measures the bench's wall time, simulation throughput, peak RSS and
-/// per-phase span attribution, and writes them at scope exit as a
-/// one-object JSON document (schema peerscope.bench/2) via the
-/// atomic-write path, so a killed bench never leaves a torn artifact.
-/// When unset this is inert.
+/// The bench telemetry hooks, all on one obs::Telemetry. Construct one
+/// `bench::Session session{"name"};` at the top of a bench main:
 ///
-/// The `phases` array carries one row per traced span path —
+///   PEERSCOPE_BENCH_METRICS=PATH  metrics.json (peerscope.metrics/1)
+///   PEERSCOPE_BENCH_TRACE=PATH    trace.json (peerscope.trace/1)
+///   PEERSCOPE_BENCH_SERIES=PATH   PSTS series sidecar, one interval per
+///                                 PEERSCOPE_BENCH_SERIES_SECONDS
+///                                 simulated seconds (default 10)
+///   PEERSCOPE_BENCH_JSON=PATH     performance summary (peerscope.bench/2)
+///
+/// Every file is written atomically when the session ends. With none
+/// of the variables set nothing is installed, and the bench output is
+/// byte-identical to an uninstrumented build.
+///
+/// The JSON summary is rendered from the same final snapshots the
+/// sidecars are written from, so JSON asks for the registry and the
+/// event recorder even when no sidecar path does. It carries the wall
+/// time from construction to destruction (stopped before any sidecar
+/// write) and the peak RSS at that point, sim.events_executed and
+/// events/s, and a `phases` array: one row per traced span path —
 /// count, total wall ns and self wall ns (total minus directly nested
-/// children), sorted by path — computed with the same
-/// obs::attribute_spans pass `peerscope trace-summary` uses. That is
-/// what lets the CI trajectory gate localize a wall-time regression to
-/// a phase instead of just flagging the end-to-end number.
-///
-/// Construct it FIRST in main (before MetricsSession/TraceSession):
-/// when no metrics registry is requested the session installs a
-/// private one to count sim.events_executed, and when no tracer is
-/// requested it installs a private recorder to capture span events;
-/// when PEERSCOPE_BENCH_METRICS / PEERSCOPE_BENCH_TRACE already
-/// claimed the global slots the session leaves them alone and reports
-/// throughput as 0 / phases as empty (the full data is in those
-/// sidecars instead).
-class BenchJsonSession {
+/// children), sorted by path — computed with the obs::attribute_spans
+/// pass `peerscope trace-summary` uses. That is what lets the CI
+/// trajectory gate localize a wall-time regression to a phase instead
+/// of just flagging the end-to-end number.
+class Session {
  public:
-  explicit BenchJsonSession(std::string name) : name_(std::move(name)) {
-    if (const char* path = std::getenv("PEERSCOPE_BENCH_JSON")) {
-      path_ = path;
-      started_ = std::chrono::steady_clock::now();
-      if (!obs::enabled() && !std::getenv("PEERSCOPE_BENCH_METRICS")) {
-        registry_ = std::make_unique<obs::MetricsRegistry>();
-        obs::install(registry_.get());
-      }
-      if (!obs::trace_enabled() && !std::getenv("PEERSCOPE_BENCH_TRACE")) {
-        recorder_ = std::make_unique<obs::TraceRecorder>();
-        obs::install_tracer(recorder_.get());
-      }
-    }
-  }
-  ~BenchJsonSession() {
-    if (path_.empty()) return;
-    const double wall_s =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      started_)
-            .count();
-    std::uint64_t events = 0;
-    if (registry_) {
-      obs::install(nullptr);
-      const auto snapshot = registry_->snapshot();
-      const auto it = snapshot.counters.find("sim.events_executed");
-      if (it != snapshot.counters.end()) events = it->second;
-    }
-    std::vector<obs::SpanAttribution> phases;
-    if (recorder_) {
-      obs::install_tracer(nullptr);
-      phases = obs::attribute_spans(recorder_->snapshot().events);
-      std::sort(phases.begin(), phases.end(),
-                [](const obs::SpanAttribution& a,
-                   const obs::SpanAttribution& b) { return a.path < b.path; });
-    }
+  explicit Session(std::string name)
+      : name_(std::move(name)),
+        json_path_(detail::env_path("PEERSCOPE_BENCH_JSON")),
+        telemetry_(telemetry_config(!json_path_.empty())) {}
+
+  ~Session() {
+    const double wall_s = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - started_)
+                              .count();
     ::rusage usage{};
     ::getrusage(RUSAGE_SELF, &usage);
+    const obs::TelemetryReport report = telemetry_.finish();
+    if (json_path_.empty()) return;
+
+    const auto events_it = report.metrics.counters.find("sim.events_executed");
+    const std::uint64_t events =
+        events_it != report.metrics.counters.end() ? events_it->second : 0;
+    std::vector<obs::SpanAttribution> phases =
+        obs::attribute_spans(report.trace.events);
+    std::sort(phases.begin(), phases.end(),
+              [](const obs::SpanAttribution& a,
+                 const obs::SpanAttribution& b) { return a.path < b.path; });
     std::ostringstream out;
     out << "{\"schema\":\"peerscope.bench/2\",\"bench\":"
         << util::json::quote(name_) << ",\"wall_s\":" << wall_s
-        << ",\"events_executed\":" << events
-        << ",\"events_per_s\":" << (wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0)
+        << ",\"events_executed\":" << events << ",\"events_per_s\":"
+        << (wall_s > 0 ? static_cast<double>(events) / wall_s : 0.0)
         << ",\"peak_rss_kb\":" << usage.ru_maxrss << ",\"phases\":[";
     for (std::size_t i = 0; i < phases.size(); ++i) {
       const obs::SpanAttribution& row = phases[i];
@@ -289,22 +155,38 @@ class BenchJsonSession {
     }
     out << "]}\n";
     try {
-      util::write_file_atomic(path_, out.str());
-      std::cerr << "bench-json: wrote " << path_.string() << '\n';
+      util::write_file_atomic(json_path_, out.str());
+      std::cerr << "bench-json: wrote " << json_path_.string() << '\n';
     } catch (const std::exception& error) {
       std::cerr << "bench-json: " << error.what() << '\n';
     }
   }
 
-  BenchJsonSession(const BenchJsonSession&) = delete;
-  BenchJsonSession& operator=(const BenchJsonSession&) = delete;
+  Session(const Session&) = delete;
+  Session& operator=(const Session&) = delete;
 
  private:
+  static obs::TelemetryConfig telemetry_config(bool json) {
+    obs::TelemetryConfig config;
+    config.metrics = json;
+    config.trace = json;
+    config.metrics_path = detail::env_path("PEERSCOPE_BENCH_METRICS");
+    config.trace_path = detail::env_path("PEERSCOPE_BENCH_TRACE");
+    config.series_path = detail::env_path("PEERSCOPE_BENCH_SERIES");
+    if (!config.series_path.empty()) {
+      config.series_interval =
+          util::SimTime::seconds(detail::env_int_or_die(
+              "PEERSCOPE_BENCH_SERIES_SECONDS", std::int64_t{10},
+              exp::kMaxRunSeconds));
+    }
+    return config;
+  }
+
   std::string name_;
-  std::filesystem::path path_;
-  std::chrono::steady_clock::time_point started_;
-  std::unique_ptr<obs::MetricsRegistry> registry_;
-  std::unique_ptr<obs::TraceRecorder> recorder_;
+  std::filesystem::path json_path_;
+  obs::Telemetry telemetry_;
+  std::chrono::steady_clock::time_point started_ =
+      std::chrono::steady_clock::now();
 };
 
 inline std::string fmt(double v, int precision = 1) {

@@ -28,6 +28,11 @@ namespace peerscope::exp {
 inline constexpr std::uint64_t kCancelPollStride =
     sim::Engine::kCancelStride;
 
+/// Longest run, in simulated seconds, the CLI and the benches accept:
+/// a year is far past any useful run and far from overflowing the
+/// nanosecond SimTime.
+inline constexpr std::int64_t kMaxRunSeconds = 31'536'000;
+
 struct RunSpec {
   p2p::SystemProfile profile;
   std::uint64_t seed = 42;

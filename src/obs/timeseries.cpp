@@ -5,11 +5,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "util/atomic_file.hpp"
 #include "util/io_faults.hpp"
+#include "util/parse_int.hpp"
 
 namespace peerscope::obs {
 
@@ -245,25 +247,15 @@ std::string encode_interval(const std::string& run,
   return payload;
 }
 
-/// Strict whole-token u64 parse; false on any malformation.
-[[nodiscard]] bool parse_u64(std::string_view text, std::uint64_t& out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  out = value;
-  return true;
-}
-
-[[nodiscard]] bool parse_i64(std::string_view text, std::int64_t& out) {
-  const bool negative = !text.empty() && text.front() == '-';
-  if (negative) text.remove_prefix(1);
-  std::uint64_t magnitude = 0;
-  if (!parse_u64(text, magnitude)) return false;
-  out = negative ? -static_cast<std::int64_t>(magnitude)
-                 : static_cast<std::int64_t>(magnitude);
+/// util::parse_int into `out`; false (nothing written) on any
+/// malformation, an overflowing value included.
+template <class T>
+[[nodiscard]] bool parse_field(std::string_view text, T& out,
+                               T hi = std::numeric_limits<T>::max()) {
+  const auto value =
+      util::parse_int<T>(text, std::numeric_limits<T>::min(), hi);
+  if (!value) return false;
+  out = *value;
   return true;
 }
 
@@ -290,9 +282,9 @@ std::vector<std::string_view> split(std::string_view text, char sep) {
   const std::string run{fields[1]};
   std::int64_t interval_ns = 0;
   SeriesInterval interval;
-  if (!parse_i64(fields[2], interval_ns) ||
-      !parse_u64(fields[3], interval.index) ||
-      !parse_i64(fields[4], interval.at_ns)) {
+  if (!parse_field(fields[2], interval_ns) ||
+      !parse_field(fields[3], interval.index) ||
+      !parse_field(fields[4], interval.at_ns)) {
     return false;
   }
   for (std::size_t i = 5; i < fields.size(); ++i) {
@@ -301,7 +293,7 @@ std::vector<std::string_view> split(std::string_view text, char sep) {
       const std::size_t eq = field.find('=');
       if (eq == std::string_view::npos || eq <= 2) return false;
       std::uint64_t value = 0;
-      if (!parse_u64(field.substr(eq + 1), value)) return false;
+      if (!parse_field(field.substr(eq + 1), value)) return false;
       interval.row.counters.emplace(field.substr(2, eq - 2), value);
     } else if (field.rfind("h:", 0) == 0) {
       const std::size_t eq = field.find('=');
@@ -311,21 +303,21 @@ std::vector<std::string_view> split(std::string_view text, char sep) {
         return false;
       }
       std::int64_t sum = 0;
-      if (!parse_i64(field.substr(eq + 1, at - eq - 1), sum)) return false;
+      if (!parse_field(field.substr(eq + 1, at - eq - 1), sum)) return false;
       std::vector<std::pair<std::uint32_t, std::uint64_t>> buckets;
       const std::string_view pair_list = field.substr(at + 1);
       if (!pair_list.empty()) {
         for (const std::string_view pair : split(pair_list, ',')) {
           const std::size_t colon = pair.find(':');
           if (colon == std::string_view::npos) return false;
-          std::uint64_t index = 0;
+          std::uint32_t index = 0;
           std::uint64_t count = 0;
-          if (!parse_u64(pair.substr(0, colon), index) ||
-              !parse_u64(pair.substr(colon + 1), count) ||
-              index > std::uint64_t{1} << 20) {
+          if (!parse_field(pair.substr(0, colon), index,
+                           std::uint32_t{1} << 20) ||
+              !parse_field(pair.substr(colon + 1), count)) {
             return false;
           }
-          buckets.emplace_back(static_cast<std::uint32_t>(index), count);
+          buckets.emplace_back(index, count);
         }
       }
       interval.row.histograms.emplace(

@@ -1,6 +1,8 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cstdint>
+#include <system_error>
 
 namespace peerscope::util::json {
 

@@ -10,15 +10,15 @@
 // nullopt, throw) is the caller's policy, not this module's.
 #pragma once
 
-#include <charconv>
 #include <concepts>
 #include <cstddef>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
+
+#include "util/parse_int.hpp"
 
 namespace peerscope::util::json {
 
@@ -70,11 +70,7 @@ class Value {
   template <std::integral T>
   [[nodiscard]] std::optional<T> integer() const {
     if (kind_ != Kind::kNumber) return std::nullopt;
-    T value{};
-    const char* end = text_.data() + text_.size();
-    const auto [stop, error] = std::from_chars(text_.data(), end, value);
-    if (error != std::errc{} || stop != end) return std::nullopt;
-    return value;
+    return parse_int<T>(text_);
   }
 
  private:

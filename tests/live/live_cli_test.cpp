@@ -3,25 +3,34 @@
 // series sidecar that `timeline` reads back strictly, deterministically
 // and — after deliberate corruption — in salvage mode; `watch` renders
 // the status.json the live monitor published; a run that sustainedly
-// violates a declared SLO exits 10 with a flight-recorder dump; and a
-// healthy run's trace export after its simulation is never judged.
+// violates a declared SLO exits 10 with a flight-recorder dump; a
+// healthy run's trace export after its simulation is never judged; a
+// tracker outage fails over (exit 0) or degrades (exit 8 + dump); and
+// malformed integer flags exit 4 instead of running.
 //
-// The binary's path comes from the build (PEERSCOPE_CLI); each test
-// works in its own scratch directory.
+// The bench telemetry hooks ride along: bench_table2's PEERSCOPE_BENCH_*
+// summary agrees with its sidecars, leaves stdout alone, traces
+// deterministically, and rejects a malformed duration with exit 2.
+//
+// The binaries' paths come from the build (PEERSCOPE_CLI,
+// PEERSCOPE_BENCH_TABLE2); each test works in its own scratch
+// directory.
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <regex>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "exp/status.hpp"
 #include "support/temp_dir.hpp"
 #include "util/atomic_file.hpp"
 #include "util/json.hpp"
+#include "util/parse_int.hpp"
 
 namespace peerscope {
 namespace {
@@ -33,6 +42,21 @@ namespace fs = std::filesystem;
   std::ostringstream out;
   out << in.rdbuf();
   return out.str();
+}
+
+/// The number printed right before `label` in `text` ("46 failovers"),
+/// or 0 when there is none.
+[[nodiscard]] std::uint64_t count_before(const std::string& text,
+                                         const std::string& label) {
+  const std::size_t at = text.find(label);
+  if (at == std::string::npos) return 0;
+  std::size_t begin = at;
+  while (begin > 0 && text[begin - 1] >= '0' && text[begin - 1] <= '9') {
+    --begin;
+  }
+  return util::parse_int<std::uint64_t>(
+             std::string_view{text}.substr(begin, at - begin))
+      .value_or(0);
 }
 
 struct CliResult {
@@ -49,12 +73,19 @@ class LiveCli : public ::testing::Test {
     fs::remove_all(dir_, ec);
   }
 
-  /// Runs `peerscope ARGS` inside the scratch directory.
-  CliResult peerscope(const std::string& args) const {
+  /// Runs `ENV peerscope ARGS` inside the scratch directory.
+  CliResult peerscope(const std::string& args,
+                      const std::string& env = "") const {
+    return run(PEERSCOPE_CLI, args, env);
+  }
+
+  /// Runs `ENV BINARY ARGS` inside the scratch directory.
+  CliResult run(const std::string& binary, const std::string& args,
+                const std::string& env) const {
     const fs::path out = dir_ / "stdout.txt";
     const fs::path err = dir_ / "stderr.txt";
-    const std::string command = "cd '" + dir_.string() + "' && '" +
-                                PEERSCOPE_CLI + "' " + args + " > '" +
+    const std::string command = "cd '" + dir_.string() + "' && " + env +
+                                " '" + binary + "' " + args + " > '" +
                                 out.string() + "' 2> '" + err.string() + "'";
     const int status = std::system(command.c_str());
     CliResult result;
@@ -72,6 +103,22 @@ class LiveCli : public ::testing::Test {
     ASSERT_EQ(run.code, 0) << run.err;
     EXPECT_NE(run.err.find("series: wrote " + psts), std::string::npos)
         << run.err;
+  }
+
+  /// Flight-recorder dumps in `journal_d`, each checked to carry the
+  /// trace schema.
+  static int flight_dumps(const fs::path& journal_d) {
+    int dumps = 0;
+    for (const auto& entry : fs::directory_iterator{journal_d}) {
+      const std::string name = entry.path().filename().string();
+      if (!name.ends_with(".trace.json")) continue;
+      ++dumps;
+      const std::string dump = read_file(entry.path());
+      EXPECT_NE(dump.find(R"("schema": "peerscope.trace/1")"),
+                std::string::npos)
+          << name;
+    }
+    return dumps;
   }
 
   fs::path dir_;
@@ -146,16 +193,7 @@ TEST_F(LiveCli, StarvedRunExits10WithAFlightDump) {
   EXPECT_NE(run.err.find("below floor"), std::string::npos) << run.err;
 
   // The cancelled attempt left a post-mortem flight recording.
-  int dumps = 0;
-  const std::regex schema{R"("schema": *"peerscope\.trace/1")"};
-  for (const auto& entry :
-       fs::directory_iterator{dir_ / "stall-run" / "experiment.journal.d"}) {
-    const std::string name = entry.path().filename().string();
-    if (!name.ends_with(".trace.json")) continue;
-    ++dumps;
-    EXPECT_TRUE(std::regex_search(read_file(entry.path()), schema)) << name;
-  }
-  EXPECT_EQ(dumps, 1);
+  EXPECT_EQ(flight_dumps(dir_ / "stall-run" / "experiment.journal.d"), 1);
 }
 
 TEST_F(LiveCli, TraceExportAfterTheSimulationIsNeverJudged) {
@@ -175,6 +213,129 @@ TEST_F(LiveCli, TraceExportAfterTheSimulationIsNeverJudged) {
   EXPECT_EQ(
       counters["watchdog.violations"].integer<std::uint64_t>().value_or(0),
       0u);
+}
+
+TEST_F(LiveCli, MalformedRunIntegersExit4) {
+  // A sign, trailing bytes and an overflow: a lenient parser wraps or
+  // truncates each into a number and runs.
+  for (const std::string flags :
+       {"--seed -5 --duration 2", "--duration 2x",
+        "--seed 18446744073709551616 --duration 2", "--duration 0x10"}) {
+    const CliResult run = peerscope("run --app tvants --out o " + flags);
+    EXPECT_EQ(run.code, 4) << flags << '\n' << run.err;
+    EXPECT_FALSE(fs::exists(dir_ / "o" / "experiment.meta")) << flags;
+  }
+}
+
+TEST_F(LiveCli, MalformedReproduceIntegersExit4) {
+  // Unchecked trailing bytes would run "banana" at seed 0.
+  for (const std::string flags :
+       {"--seed banana --duration 1", "--seed 7 --duration 1s"}) {
+    const CliResult run = peerscope("reproduce --out r.md " + flags);
+    EXPECT_EQ(run.code, 4) << flags << '\n' << run.err;
+    EXPECT_FALSE(fs::exists(dir_ / "r.md")) << flags;
+  }
+}
+
+TEST_F(LiveCli, MalformedIoFaultsSeedExits4) {
+  const CliResult flag =
+      peerscope("--io-faults fsync-fail#2 --io-faults-seed -1 testbed");
+  EXPECT_EQ(flag.code, 4) << flag.err;
+  const CliResult env =
+      peerscope("--io-faults fsync-fail#2 testbed",
+                "PEERSCOPE_IO_FAULTS_SEED=18446744073709551616");
+  EXPECT_EQ(env.code, 4) << env.err;
+  const CliResult ok =
+      peerscope("--io-faults fsync-fail#2 --io-faults-seed 7 testbed");
+  EXPECT_EQ(ok.code, 0) << ok.err;
+}
+
+// Discovery outage: the tracker dies mid-run. With a DHT fallback every
+// probe fails over and re-joins inside the SLO; without one the run
+// degrades to exit 8 and leaves a flight-recorder dump in journal.d.
+TEST_F(LiveCli, TrackerOutageWithFallbackFailsOverAndExitsClean) {
+  const CliResult run = peerscope(
+      "run --app tvants --duration 60 --out ok-run --discovery tracker"
+      " --fallback dht --tracker-outage-at 20 --tracker-outage-for 20"
+      " --rejoin-deadline 30");
+  ASSERT_EQ(run.code, 0) << run.err;
+  EXPECT_GE(count_before(run.err, " failovers"), 1u) << run.err;
+  EXPECT_GE(count_before(run.err, " tracker failures"), 1u) << run.err;
+}
+
+TEST_F(LiveCli, TrackerOutageWithoutFallbackDegradesToExit8WithADump) {
+  const CliResult run = peerscope(
+      "--trace bad-run-trace.json run --app tvants --duration 60"
+      " --out bad-run --discovery tracker --tracker-outage-at 10"
+      " --tracker-outage-for 50 --rejoin-deadline 5 --churn 6");
+  ASSERT_EQ(run.code, 8) << run.err;
+  EXPECT_NE(run.err.find("discovery degraded"), std::string::npos)
+      << run.err;
+  EXPECT_EQ(flight_dumps(dir_ / "bad-run" / "experiment.journal.d"), 1);
+}
+
+// The bench telemetry hooks: bench_table2 at 5 simulated seconds with
+// the PEERSCOPE_BENCH_* variables on and off.
+class BenchHooks : public LiveCli {
+ protected:
+  CliResult bench_table2(const std::string& env) const {
+    return run(PEERSCOPE_BENCH_TABLE2, "", "PEERSCOPE_BENCH_SECONDS=5 " + env);
+  }
+};
+
+TEST_F(BenchHooks, JsonCountsWhatTheSidecarsCount) {
+  // The summary and the sidecars are rendered from the same snapshots.
+  const CliResult run = bench_table2(
+      "PEERSCOPE_BENCH_JSON=b.json PEERSCOPE_BENCH_METRICS=m.json"
+      " PEERSCOPE_BENCH_TRACE=t.json");
+  ASSERT_EQ(run.code, 0) << run.err;
+  const util::json::Value summary =
+      util::json::parse_or_null(read_file(dir_ / "b.json"));
+  const util::json::Value metrics =
+      util::json::parse_or_null(read_file(dir_ / "m.json"));
+  const auto events = summary["events_executed"].integer<std::uint64_t>();
+  ASSERT_TRUE(events.has_value()) << read_file(dir_ / "b.json");
+  EXPECT_GT(*events, 0u);
+  EXPECT_EQ(*events, metrics["counters"]["sim.events_executed"]
+                         .integer<std::uint64_t>()
+                         .value_or(0));
+  ASSERT_EQ(summary["phases"].kind(), util::json::Value::Kind::kArray);
+  EXPECT_FALSE(summary["phases"].items().empty());
+}
+
+TEST_F(BenchHooks, StdoutIsIdenticalWithEveryHookOnOrOff) {
+  const CliResult on = bench_table2(
+      "PEERSCOPE_BENCH_JSON=b.json PEERSCOPE_BENCH_METRICS=m.json"
+      " PEERSCOPE_BENCH_TRACE=t.json PEERSCOPE_BENCH_SERIES=s.psts"
+      " PEERSCOPE_BENCH_SERIES_SECONDS=1");
+  ASSERT_EQ(on.code, 0) << on.err;
+  for (const char* sidecar : {"b.json", "m.json", "t.json", "s.psts"}) {
+    EXPECT_TRUE(fs::exists(dir_ / sidecar)) << sidecar;
+  }
+  const CliResult off = bench_table2("");
+  ASSERT_EQ(off.code, 0) << off.err;
+  EXPECT_FALSE(off.out.empty());
+  EXPECT_EQ(on.out, off.out);
+}
+
+TEST_F(BenchHooks, TwoTracedRunsGiveTheSameDeterministicSummary) {
+  ASSERT_EQ(bench_table2("PEERSCOPE_BENCH_TRACE=a.json").code, 0);
+  ASSERT_EQ(bench_table2("PEERSCOPE_BENCH_TRACE=b.json").code, 0);
+  const CliResult first = peerscope("trace-summary --deterministic a.json");
+  const CliResult second = peerscope("trace-summary --deterministic b.json");
+  ASSERT_EQ(first.code, 0) << first.err;
+  ASSERT_EQ(second.code, 0) << second.err;
+  EXPECT_FALSE(first.out.empty());
+  EXPECT_EQ(first.out, second.out);
+}
+
+TEST_F(BenchHooks, MalformedSecondsExit2) {
+  const CliResult run = bench_table2("PEERSCOPE_BENCH_SECONDS=30x");
+  EXPECT_EQ(run.code, 2) << run.err;
+  EXPECT_NE(run.err.find("usage: PEERSCOPE_BENCH_SECONDS"),
+            std::string::npos)
+      << run.err;
+  EXPECT_TRUE(run.out.empty()) << run.out;
 }
 
 }  // namespace

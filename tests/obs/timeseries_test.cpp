@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -224,6 +225,40 @@ TEST_F(TimeseriesFileTest, ReadersRejectMissingAndForeignFiles) {
   SeriesSalvageReport report;
   EXPECT_TRUE(read_series_salvage(path, &report).runs.empty());
   EXPECT_FALSE(report.framing.header_valid);
+}
+
+TEST_F(TimeseriesFileTest, OutOfRangeFieldsAreRejectedNotWrapped) {
+  // CRC-valid frames whose payloads hold numbers that overflow their
+  // field: a wrapping parser decoded the counter as 0 and the bucket
+  // index 2^64+1 as 1.
+  const std::vector<std::string> payloads = {
+      kSeriesSchema,
+      "i\trun\t10\t0\t10\tc:x=1\th:h=-9223372036854775808@0:1",
+      "i\trun\t10\t1\t20\tc:x=18446744073709551616",
+      "i\trun\t10\t2\t30\th:h=5@18446744073709551617:1",
+      "i\trun\t10\t3\t40\th:h=5@1048577:1",
+      "i\trun\t10\t4\t9223372036854775808",
+  };
+  util::framing::FrameFormat format;
+  format.magic = kSeriesMagic;
+  format.version = kSeriesVersion;
+  format.max_record_len = std::uint32_t{1} << 16;
+  const auto path = dir_ / "overflow.psts";
+  std::ofstream{path, std::ios::binary}
+      << util::framing::encode_frames(format, payloads);
+
+  EXPECT_THROW((void)read_series(path), std::runtime_error);
+
+  SeriesSalvageReport report;
+  const SeriesSnapshot salvaged = read_series_salvage(path, &report);
+  EXPECT_EQ(report.framing.records_dropped, 0u);
+  EXPECT_EQ(report.payloads_skipped, 4u);
+  ASSERT_EQ(salvaged.runs.count("run"), 1u);
+  const auto& intervals = salvaged.runs.at("run").intervals;
+  ASSERT_EQ(intervals.size(), 1u);
+  EXPECT_EQ(intervals[0].row.counters.at("x"), 1u);
+  EXPECT_EQ(intervals[0].row.histograms.at("h").sum(),
+            std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(Timeseries, RecorderSanitizesKeysAndKeepsIntervalsSorted) {

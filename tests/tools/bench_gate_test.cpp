@@ -1,5 +1,5 @@
 // Perf-trajectory gate tests (tools/bench_gate.hpp): snapshot parsing
-// of the exact dialect bench::BenchJsonSession writes, the regression
+// of the exact dialect bench::Session writes, the regression
 // budget math behind `peerscope bench-diff`, and the markdown
 // rendering behind `peerscope bench-trajectory`.
 //

@@ -40,7 +40,7 @@ struct BenchSnapshot {
   std::vector<BenchPhase> phases;
 };
 
-/// Parses a document bench::BenchJsonSession writes, with the shared
+/// Parses a document bench::Session writes, with the shared
 /// strict JSON reader. Throws std::runtime_error on malformed input, a
 /// missing or mistyped field, or a foreign schema.
 [[nodiscard]] BenchSnapshot parse_bench_snapshot(const std::string& text);

@@ -150,13 +150,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "aware/observation.hpp"
@@ -170,10 +171,7 @@
 #include "net/topology.hpp"
 #include "exp/journal.hpp"
 #include "exp/status.hpp"
-#include "obs/json.hpp"
-#include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
-#include "obs/trace.hpp"
+#include "obs/telemetry.hpp"
 #include "obs/trace_summary.hpp"
 #include "p2p/swarm.hpp"
 #include "tools/reproduce.hpp"
@@ -181,6 +179,7 @@
 #include "trace/io.hpp"
 #include "trace/pcap.hpp"
 #include "util/io_faults.hpp"
+#include "util/parse_int.hpp"
 #include "util/table.hpp"
 
 using namespace peerscope;
@@ -198,8 +197,8 @@ constexpr int kExitPartial = tools::kExitPartialSuccess;  // 5
 constexpr int kExitBadCapture = 6;
 constexpr int kExitBadTrace = 7;
 // A run that finished the simulation but missed its discovery re-join
-// SLO (exp::DiscoveryDegraded): distinct from 1 so the CI outage smoke
-// can tell "degraded as designed" from a genuine crash.
+// SLO (exp::DiscoveryDegraded): distinct from 1 so the live suite's
+// outage test can tell "degraded as designed" from a genuine crash.
 constexpr int kExitDegraded = 8;
 // bench-diff found a wall-time or events/sec regression past the
 // budget: distinct from 1 so the CI bench gate (and its
@@ -286,16 +285,32 @@ struct RunArgs {
   p2p::DiscoverySpec discovery;
 };
 
-/// Strict numeric parse: the whole token must be a number in
-/// [lo, hi]. nullopt (-> exit 4) otherwise — a mistyped probability
-/// must not silently become 0.
-std::optional<double> parse_double(const char* text, double lo, double hi) {
-  if (!text || !*text) return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || v < lo || v > hi) return std::nullopt;
-  return v;
+/// Strict parse of `flag`'s value into `target`: the whole token must
+/// be a number in [lo, hi] — one base-10 integer (util::parse_int) for
+/// an integral target. Otherwise prints the diagnostic and returns
+/// false (-> exit 4): a mistyped probability must not silently become
+/// 0, nor "-5" a huge seed.
+template <class T>
+bool parse_flag(const std::string& flag, const char* text,
+                std::type_identity_t<T> lo, std::type_identity_t<T> hi,
+                T& target) {
+  std::optional<T> parsed;
+  if constexpr (std::is_integral_v<T>) {
+    parsed = util::parse_int<T>(text, lo, hi);
+  } else {
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end != text && *end == '\0' && v >= lo && v <= hi) parsed = v;
+  }
+  if (!parsed) {
+    std::cerr << "invalid value for " << flag << ": " << text << '\n';
+    return false;
+  }
+  target = *parsed;
+  return true;
 }
+
+constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
 
 util::SimTime seconds_to_simtime(double s) {
   return util::SimTime::nanos(static_cast<std::int64_t>(s * 1e9));
@@ -311,32 +326,25 @@ std::optional<RunArgs> parse_run_args(int argc, char** argv, int first,
   for (int i = first; i < argc; ++i) {
     const std::string flag = argv[i];
     auto value = [&]() -> const char* {
-      return i + 1 < argc ? argv[++i] : nullptr;
+      if (i + 1 < argc) return argv[++i];
+      std::cerr << flag << " needs a value\n";
+      return nullptr;
     };
-    // Numeric fault knobs share one code path: flag -> (target, range).
-    auto numeric = [&](double lo, double hi,
-                       double& target) -> bool {
+    // Numeric knobs share one code path: flag -> (target, range).
+    auto numeric = [&](auto& target, auto lo, auto hi) -> bool {
+      using T = std::remove_cvref_t<decltype(target)>;
       const char* v = value();
-      if (!v) {
-        std::cerr << flag << " needs a value\n";
-        err = kExitUsage;
-        return false;
+      if (v == nullptr) return false;
+      if (parse_flag(flag, v, static_cast<T>(lo), static_cast<T>(hi),
+                     target)) {
+        return true;
       }
-      const auto parsed = parse_double(v, lo, hi);
-      if (!parsed) {
-        std::cerr << "invalid value for " << flag << ": " << v << '\n';
-        err = kExitBadValue;
-        return false;
-      }
-      target = *parsed;
-      return true;
+      err = kExitBadValue;
+      return false;
     };
     if (flag == "--app") {
       const char* name = value();
-      if (!name) {
-        std::cerr << "--app needs a value\n";
-        return std::nullopt;
-      }
+      if (!name) return std::nullopt;
       const auto profile = profile_by_name(name);
       if (!profile) {
         std::cerr << "unknown app: " << name << '\n';
@@ -346,43 +354,18 @@ std::optional<RunArgs> parse_run_args(int argc, char** argv, int first,
       args.profile = *profile;
       have_app = true;
     } else if (flag == "--seed") {
-      const char* v = value();
-      if (!v) {
-        std::cerr << "--seed needs a value\n";
-        return std::nullopt;
-      }
-      char* end = nullptr;
-      args.seed = std::strtoull(v, &end, 10);
-      if (end == v || *end != '\0') {
-        std::cerr << "invalid value for --seed: " << v << '\n';
-        err = kExitBadValue;
-        return std::nullopt;
-      }
+      if (!numeric(args.seed, 0, kMaxSeed)) return std::nullopt;
     } else if (flag == "--duration") {
-      const char* v = value();
-      if (!v) {
-        std::cerr << "--duration needs a value\n";
-        return std::nullopt;
-      }
-      args.duration_s = std::atoll(v);
-      if (args.duration_s <= 0) {
-        std::cerr << "invalid value for --duration: " << v << '\n';
-        err = kExitBadValue;
+      if (!numeric(args.duration_s, 1, exp::kMaxRunSeconds)) {
         return std::nullopt;
       }
     } else if (flag == "--out") {
       const char* v = value();
-      if (!v) {
-        std::cerr << "--out needs a value\n";
-        return std::nullopt;
-      }
+      if (!v) return std::nullopt;
       args.out = v;
     } else if (flag == "--trace-format") {
       const char* v = value();
-      if (!v) {
-        std::cerr << "--trace-format needs a value\n";
-        return std::nullopt;
-      }
+      if (!v) return std::nullopt;
       const std::string format = v;
       if (format != "classic" && format != "binary") {
         std::cerr << "invalid value for --trace-format: " << v
@@ -396,79 +379,52 @@ std::optional<RunArgs> parse_run_args(int argc, char** argv, int first,
     } else if (flag == "--csv") {
       args.csv = true;
     } else if (flag == "--retries") {
-      const char* v = value();
-      if (!v) {
-        std::cerr << "--retries needs a value\n";
-        return std::nullopt;
-      }
-      const auto parsed = parse_double(v, 0, 100);
-      if (!parsed || *parsed != static_cast<int>(*parsed)) {
-        std::cerr << "invalid value for --retries: " << v << '\n';
-        err = kExitBadValue;
-        return std::nullopt;
-      }
-      args.retries = static_cast<int>(*parsed);
+      if (!numeric(args.retries, 0, 100)) return std::nullopt;
     } else if (flag == "--deadline") {
-      double s = 0;
-      if (!numeric(0.0, 86'400.0, s)) return std::nullopt;
-      args.deadline_s = s;
+      if (!numeric(args.deadline_s, 0.0, 86'400.0)) return std::nullopt;
     } else if (flag == "--resume") {
       args.resume = true;
     } else if (flag == "--watch-status") {
       const char* v = value();
-      if (!v) {
-        std::cerr << "--watch-status needs a value\n";
-        return std::nullopt;
-      }
+      if (!v) return std::nullopt;
       args.status_path = v;
     } else if (flag == "--slo-events-floor") {
-      if (!numeric(0.0, 1e18, args.slo.events_per_s_floor)) {
-        return std::nullopt;
-      }
+      if (!numeric(args.slo.events_per_s_floor, 0.0, 1e18)) return std::nullopt;
     } else if (flag == "--slo-stall") {
-      if (!numeric(0.0, 86'400.0, args.slo.stall_window_s)) {
-        return std::nullopt;
-      }
+      if (!numeric(args.slo.stall_window_s, 0.0, 86'400.0)) return std::nullopt;
     } else if (flag == "--slo-rejoin-p99-ms") {
       double ms = 0;
-      if (!numeric(0.0, 1e9, ms)) return std::nullopt;
+      if (!numeric(ms, 0.0, 1e9)) return std::nullopt;
       args.slo.rejoin_p99_ceiling_ns = static_cast<std::int64_t>(ms * 1e6);
     } else if (flag == "--loss") {
-      if (!numeric(0.0, 0.95, args.impairment.loss_rate)) return std::nullopt;
+      if (!numeric(args.impairment.loss_rate, 0.0, 0.95)) return std::nullopt;
     } else if (flag == "--loss-burst") {
-      if (!numeric(1.0, 1e6, args.impairment.loss_burst)) return std::nullopt;
+      if (!numeric(args.impairment.loss_burst, 1.0, 1e6)) return std::nullopt;
     } else if (flag == "--reorder") {
-      if (!numeric(0.0, 1.0, args.impairment.reorder_rate)) {
-        return std::nullopt;
-      }
+      if (!numeric(args.impairment.reorder_rate, 0.0, 1.0)) return std::nullopt;
     } else if (flag == "--dup") {
-      if (!numeric(0.0, 1.0, args.impairment.duplicate_rate)) {
+      if (!numeric(args.impairment.duplicate_rate, 0.0, 1.0)) {
         return std::nullopt;
       }
     } else if (flag == "--outage") {
-      if (!numeric(0.0, 1e3, args.impairment.outage_per_s)) {
-        return std::nullopt;
-      }
+      if (!numeric(args.impairment.outage_per_s, 0.0, 1e3)) return std::nullopt;
     } else if (flag == "--outage-ms") {
       double ms = 0;
-      if (!numeric(0.0, 60'000.0, ms)) return std::nullopt;
+      if (!numeric(ms, 0.0, 60'000.0)) return std::nullopt;
       args.impairment.outage_duration =
           util::SimTime::nanos(static_cast<std::int64_t>(ms * 1e6));
     } else if (flag == "--churn") {
-      if (!numeric(0.0, 1e9, args.churn.probe_session_s)) return std::nullopt;
+      if (!numeric(args.churn.probe_session_s, 0.0, 1e9)) return std::nullopt;
     } else if (flag == "--bg-churn") {
-      if (!numeric(0.0, 1e9, args.churn.bg_session_s)) return std::nullopt;
+      if (!numeric(args.churn.bg_session_s, 0.0, 1e9)) return std::nullopt;
     } else if (flag == "--nat-fail") {
       double p = 0;
-      if (!numeric(0.0, 1.0, p)) return std::nullopt;
+      if (!numeric(p, 0.0, 1.0)) return std::nullopt;
       args.churn.nat_connect_failure = p;
       args.churn.firewall_connect_failure = p;
     } else if (flag == "--discovery" || flag == "--fallback") {
       const char* name = value();
-      if (!name) {
-        std::cerr << flag << " needs a value\n";
-        return std::nullopt;
-      }
+      if (!name) return std::nullopt;
       const auto kind = p2p::parse_backend_kind(name);
       if (!kind) {
         std::cerr << "invalid value for " << flag << ": " << name
@@ -480,33 +436,33 @@ std::optional<RunArgs> parse_run_args(int argc, char** argv, int first,
                              : args.discovery.fallback) = *kind;
     } else if (flag == "--tracker-outage-at") {
       double s = 0;
-      if (!numeric(0.0, 1e6, s)) return std::nullopt;
+      if (!numeric(s, 0.0, 1e6)) return std::nullopt;
       args.discovery.tracker_outage_start = seconds_to_simtime(s);
     } else if (flag == "--tracker-outage-for") {
       double s = 0;
-      if (!numeric(0.0, 1e6, s)) return std::nullopt;
+      if (!numeric(s, 0.0, 1e6)) return std::nullopt;
       args.discovery.tracker_outage_duration = seconds_to_simtime(s);
     } else if (flag == "--rejoin-deadline") {
       double s = 0;
-      if (!numeric(0.0, 1e6, s)) return std::nullopt;
+      if (!numeric(s, 0.0, 1e6)) return std::nullopt;
       args.discovery.rejoin_deadline = seconds_to_simtime(s);
     } else if (flag == "--nat-matrix") {
       double f = 0;
-      if (!numeric(0.0, 1.0, f)) return std::nullopt;
+      if (!numeric(f, 0.0, 1.0)) return std::nullopt;
       args.discovery.nat.enabled = true;
       args.discovery.nat.symmetric_fraction = f;
     } else if (flag == "--flash-crowd") {
       double n = 0;
-      if (!numeric(1.0, 1e6, n)) return std::nullopt;
+      if (!numeric(n, 1.0, 1e6)) return std::nullopt;
       args.discovery.flash_crowd_arrivals = static_cast<int>(n);
     } else if (flag == "--flash-crowd-at") {
       double s = 0;
-      if (!numeric(0.0, 1e6, s)) return std::nullopt;
+      if (!numeric(s, 0.0, 1e6)) return std::nullopt;
       args.discovery.flash_crowd_at = seconds_to_simtime(s);
     } else if (flag == "--zap-reuse") {
-      if (!numeric(0.0, 1.0, args.discovery.zap_reuse)) return std::nullopt;
+      if (!numeric(args.discovery.zap_reuse, 0.0, 1.0)) return std::nullopt;
     } else if (flag == "--session-tail") {
-      if (!numeric(0.0, 50.0, args.discovery.session_tail_alpha)) {
+      if (!numeric(args.discovery.session_tail_alpha, 0.0, 50.0)) {
         return std::nullopt;
       }
     } else {
@@ -1014,41 +970,28 @@ int dispatch(int argc, char** argv) {
       for (int i = 2; i < argc; ++i) {
         const std::string flag = argv[i];
         const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
+        bool parsed = true;
         if (flag == "--out" && value) {
           options.output = value;
-          ++i;
         } else if (flag == "--seed" && value) {
-          options.seed = std::strtoull(value, nullptr, 10);
-          ++i;
+          parsed = parse_flag(flag, value, 0, kMaxSeed, options.seed);
         } else if (flag == "--duration" && value) {
-          options.seconds = std::atoll(value);
-          if (options.seconds <= 0) {
-            std::cerr << "invalid value for --duration: " << value << '\n';
-            return usage(kExitBadValue);
-          }
-          ++i;
+          parsed = parse_flag(flag, value, 1, exp::kMaxRunSeconds,
+                              options.seconds);
         } else if (flag == "--retries" && value) {
-          const auto parsed = parse_double(value, 0, 100);
-          if (!parsed || *parsed != static_cast<int>(*parsed)) {
-            std::cerr << "invalid value for --retries: " << value << '\n';
-            return usage(kExitBadValue);
-          }
-          options.retries = static_cast<int>(*parsed);
-          ++i;
+          parsed = parse_flag(flag, value, 0, 100, options.retries);
         } else if (flag == "--deadline" && value) {
-          const auto parsed = parse_double(value, 0.0, 86'400.0);
-          if (!parsed) {
-            std::cerr << "invalid value for --deadline: " << value << '\n';
-            return usage(kExitBadValue);
-          }
-          options.deadline_s = *parsed;
-          ++i;
+          parsed =
+              parse_flag(flag, value, 0.0, 86'400.0, options.deadline_s);
         } else if (flag == "--resume") {
           options.resume = true;
+          continue;
         } else {
           std::cerr << "unknown flag: " << flag << '\n';
           return usage(kExitUsage);
         }
+        if (!parsed) return usage(kExitBadValue);
+        ++i;
       }
       return tools::reproduce(options);
     }
@@ -1060,12 +1003,9 @@ int dispatch(int argc, char** argv) {
         const std::string arg = argv[i];
         const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
         if (arg == "--top" && value) {
-          const auto parsed = parse_double(value, 1, 10'000);
-          if (!parsed || *parsed != static_cast<int>(*parsed)) {
-            std::cerr << "invalid value for --top: " << value << '\n';
+          if (!parse_flag(arg, value, 1, 10'000, top_n)) {
             return usage(kExitBadValue);
           }
-          top_n = static_cast<std::size_t>(*parsed);
           ++i;
         } else if (arg == "--deterministic") {
           deterministic = true;
@@ -1092,13 +1032,11 @@ int dispatch(int argc, char** argv) {
         if (arg == "--once") {
           once = true;
         } else if (arg == "--interval-ms" && value) {
-          const auto parsed = parse_double(value, 10, 60'000);
-          if (!parsed) {
-            std::cerr << "invalid value for --interval-ms: " << value
-                      << '\n';
+          double ms = 0;
+          if (!parse_flag(arg, value, 10.0, 60'000.0, ms)) {
             return usage(kExitBadValue);
           }
-          interval = std::chrono::milliseconds{static_cast<int>(*parsed)};
+          interval = std::chrono::milliseconds{static_cast<int>(ms)};
           ++i;
         } else if (!arg.empty() && arg[0] != '-' && path.empty()) {
           path = arg;
@@ -1146,12 +1084,9 @@ int dispatch(int argc, char** argv) {
         const std::string arg = argv[i];
         const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
         if (arg == "--budget-pct" && value) {
-          const auto parsed = parse_double(value, 0.0, 1'000.0);
-          if (!parsed) {
-            std::cerr << "invalid value for --budget-pct: " << value << '\n';
+          if (!parse_flag(arg, value, 0.0, 1'000.0, budget_pct)) {
             return usage(kExitBadValue);
           }
-          budget_pct = *parsed;
           ++i;
         } else if (!arg.empty() && arg[0] != '-') {
           paths.emplace_back(arg);
@@ -1194,14 +1129,12 @@ int dispatch(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Global --metrics flag, extracted before dispatch so subcommand
-  // parsers never see it. When present, a registry covers the whole
-  // invocation and the full sidecar is written at exit — even after a
-  // runtime error, so a failing run still leaves its partial counters.
-  std::filesystem::path metrics_path;
-  std::filesystem::path trace_path;
-  std::filesystem::path series_path;
-  double series_interval_s = 10.0;
+  // Global telemetry flags, extracted before dispatch so subcommand
+  // parsers never see them. One obs::Telemetry covers the whole
+  // invocation and writes its sidecars at exit — even after a runtime
+  // error, so a failing run still leaves its partial counters, its
+  // timeline and its series up to the failure.
+  obs::TelemetryConfig telemetry;
   // Storage fault injection: flag wins over env so a chaos sweep can
   // set a baseline schedule and individual cells can override it.
   const char* faults_env = std::getenv("PEERSCOPE_IO_FAULTS");
@@ -1211,63 +1144,42 @@ int main(int argc, char** argv) {
   std::vector<char*> filtered;
   filtered.reserve(static_cast<std::size_t>(argc));
   for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--metrics") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "--metrics needs a value\n";
-        return usage(kExitUsage);
-      }
-      metrics_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "--trace needs a value\n";
-        return usage(kExitUsage);
-      }
-      trace_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--series") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "--series needs a value\n";
-        return usage(kExitUsage);
-      }
-      series_path = argv[++i];
-    } else if (std::strcmp(argv[i], "--series-interval") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "--series-interval needs a value\n";
-        return usage(kExitUsage);
-      }
-      const auto parsed = parse_double(argv[++i], 0.001, 1e6);
-      if (!parsed) {
-        std::cerr << "invalid value for --series-interval: " << argv[i]
-                  << '\n';
-        return kExitBadValue;
-      }
-      series_interval_s = *parsed;
-    } else if (std::strcmp(argv[i], "--io-faults") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "--io-faults needs a value\n";
-        return usage(kExitUsage);
-      }
-      fault_spec = argv[++i];
-    } else if (std::strcmp(argv[i], "--io-faults-seed") == 0) {
-      if (i + 1 >= argc) {
-        std::cerr << "--io-faults-seed needs a value\n";
-        return usage(kExitUsage);
-      }
-      fault_seed_text = argv[++i];
-    } else {
+    const std::string flag = argv[i];
+    const bool global = flag == "--metrics" || flag == "--trace" ||
+                        flag == "--series" || flag == "--series-interval" ||
+                        flag == "--io-faults" || flag == "--io-faults-seed";
+    if (!global) {
       filtered.push_back(argv[i]);
+      continue;
+    }
+    if (i + 1 >= argc) {
+      std::cerr << flag << " needs a value\n";
+      return usage(kExitUsage);
+    }
+    const char* value = argv[++i];
+    if (flag == "--metrics") {
+      telemetry.metrics_path = value;
+    } else if (flag == "--trace") {
+      telemetry.trace_path = value;
+    } else if (flag == "--series") {
+      telemetry.series_path = value;
+    } else if (flag == "--series-interval") {
+      double s = 0;
+      if (!parse_flag(flag, value, 0.001, 1e6, s)) return kExitBadValue;
+      telemetry.series_interval = seconds_to_simtime(s);
+    } else if (flag == "--io-faults") {
+      fault_spec = value;
+    } else {
+      fault_seed_text = value;
     }
   }
 
   if (!fault_spec.empty()) {
     std::uint64_t fault_seed = 0;
-    if (!fault_seed_text.empty()) {
-      char* end = nullptr;
-      fault_seed = std::strtoull(fault_seed_text.c_str(), &end, 10);
-      if (end == fault_seed_text.c_str() || *end != '\0') {
-        std::cerr << "invalid value for --io-faults-seed: "
-                  << fault_seed_text << '\n';
-        return kExitBadValue;
-      }
+    if (!fault_seed_text.empty() &&
+        !parse_flag("--io-faults-seed", fault_seed_text.c_str(), 0, kMaxSeed,
+                    fault_seed)) {
+      return kExitBadValue;
     }
     try {
       util::io::install_faults(
@@ -1279,46 +1191,7 @@ int main(int argc, char** argv) {
     std::cerr << "io-faults: schedule armed (" << fault_spec << ")\n";
   }
 
-  obs::MetricsRegistry registry;
-  if (!metrics_path.empty()) obs::install(&registry);
-  obs::TraceRecorder recorder;
-  if (!trace_path.empty()) obs::install_tracer(&recorder);
-  obs::TimeseriesRecorder series{seconds_to_simtime(series_interval_s)};
-  if (!series_path.empty()) obs::install_series(&series);
-  int code = dispatch(static_cast<int>(filtered.size()), filtered.data());
-  if (!series_path.empty()) {
-    // Like the other sidecars: written even after a runtime error —
-    // the intervals up to the failure are the post-mortem timeline.
-    obs::install_series(nullptr);
-    try {
-      obs::write_series(series_path, series.snapshot());
-      std::cerr << "series: wrote " << series_path.string() << '\n';
-    } catch (const std::exception& error) {
-      std::cerr << "series: " << error.what() << '\n';
-      if (code == 0) code = 1;
-    }
-  }
-  if (!trace_path.empty()) {
-    // Like the metrics sidecar: written even after a runtime error —
-    // the failed invocation is exactly the one worth profiling.
-    obs::install_tracer(nullptr);
-    try {
-      obs::write_trace_json(trace_path, recorder.snapshot());
-      std::cerr << "trace: wrote " << trace_path.string() << '\n';
-    } catch (const std::exception& error) {
-      std::cerr << "trace: " << error.what() << '\n';
-      if (code == 0) code = 1;
-    }
-  }
-  if (!metrics_path.empty()) {
-    obs::install(nullptr);
-    try {
-      obs::write_metrics_json(metrics_path, registry.snapshot());
-      std::cerr << "metrics: wrote " << metrics_path.string() << '\n';
-    } catch (const std::exception& error) {
-      std::cerr << "metrics: " << error.what() << '\n';
-      return code == 0 ? 1 : code;
-    }
-  }
-  return code;
+  obs::Telemetry session{std::move(telemetry)};
+  const int code = dispatch(static_cast<int>(filtered.size()), filtered.data());
+  return session.finish().exit_code(code);
 }
