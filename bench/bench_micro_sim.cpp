@@ -56,10 +56,10 @@ void BM_TransmitTrain(benchmark::State& state) {
   spec.packet_count = static_cast<int>(state.range(0));
   spec.packet_bytes = 1250;
   std::int64_t t = 0;
+  sim::TrainResult result;
   for (auto _ : state) {
     spec.start = util::SimTime::nanos(t += 1'000'000);
-    const auto result =
-        sim::transmit_train(spec, sender, up, receiver, down, path, rng);
+    sim::transmit_train(spec, sender, up, receiver, down, path, rng, result);
     benchmark::DoNotOptimize(result.arrivals.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

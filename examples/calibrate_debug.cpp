@@ -1,11 +1,13 @@
 // Calibration inspector (development tool): joins the black-box
 // observations against simulator ground truth to show where bytes come
 // from — by true access class, by lag, by probe/background split.
-#include <cstdlib>
+//
+//   ./calibrate_debug [app] [duration_s]
 #include <iostream>
 #include <map>
 #include <string>
 
+#include "args.hpp"
 #include "exp/runner.hpp"
 #include "exp/testbed.hpp"
 #include "net/topology.hpp"
@@ -15,8 +17,9 @@
 using namespace peerscope;
 
 int main(int argc, char** argv) {
-  const std::string app = argc > 1 ? argv[1] : "tvants";
-  const std::int64_t duration_s = argc > 2 ? std::atoll(argv[2]) : 120;
+  const examples::Args args{argc, argv, "calibrate_debug [app] [duration_s]"};
+  const std::string app = args.text(1, "tvants");
+  const std::int64_t duration_s = args.duration_s(2, 120);
 
   p2p::SystemProfile profile;
   if (app == "pplive") profile = p2p::SystemProfile::pplive();

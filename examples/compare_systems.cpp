@@ -5,9 +5,9 @@
 //
 //   ./compare_systems [duration_s] [seed]
 
-#include <cstdlib>
 #include <iostream>
 
+#include "args.hpp"
 #include "aware/bandwidth.hpp"
 #include "aware/report.hpp"
 #include "exp/runner.hpp"
@@ -18,9 +18,9 @@
 using namespace peerscope;
 
 int main(int argc, char** argv) {
-  const std::int64_t duration_s = argc > 1 ? std::atoll(argv[1]) : 150;
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
+  const examples::Args args{argc, argv, "compare_systems [duration_s] [seed]"};
+  const std::int64_t duration_s = args.duration_s(1, 150);
+  const std::uint64_t seed = args.seed(2, 42);
 
   const net::AsTopology topo = net::make_reference_topology();
 

@@ -12,9 +12,9 @@
 //
 //   ./nextgen_locality [duration_s] [seed]
 
-#include <cstdlib>
 #include <iostream>
 
+#include "args.hpp"
 #include "aware/report.hpp"
 #include "exp/runner.hpp"
 #include "net/topology.hpp"
@@ -90,9 +90,10 @@ Friendliness measure(const exp::RunResult& result,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::int64_t duration_s = argc > 1 ? std::atoll(argv[1]) : 150;
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
+  const examples::Args args{argc, argv,
+                            "nextgen_locality [duration_s] [seed]"};
+  const std::int64_t duration_s = args.duration_s(1, 150);
+  const std::uint64_t seed = args.seed(2, 42);
 
   const net::AsTopology topo = net::make_reference_topology();
   const auto duration = util::SimTime::seconds(duration_s);

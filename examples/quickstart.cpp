@@ -10,6 +10,7 @@
 #include <iostream>
 #include <string>
 
+#include "args.hpp"
 #include "aware/report.hpp"
 #include "exp/runner.hpp"
 #include "net/topology.hpp"
@@ -36,10 +37,10 @@ std::string opt(const std::optional<double>& v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const std::string app = argc > 1 ? argv[1] : "tvants";
-  const std::uint64_t seed =
-      argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 42;
-  const std::int64_t duration_s = argc > 3 ? std::atoll(argv[3]) : 120;
+  const examples::Args args{argc, argv, "quickstart [app] [seed] [duration_s]"};
+  const std::string app = args.text(1, "tvants");
+  const std::uint64_t seed = args.seed(2, 42);
+  const std::int64_t duration_s = args.duration_s(3, 120);
 
   const net::AsTopology topo = net::make_reference_topology();
 

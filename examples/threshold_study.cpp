@@ -6,9 +6,9 @@
 //
 //   ./threshold_study [app] [duration_s]
 
-#include <cstdlib>
 #include <iostream>
 
+#include "args.hpp"
 #include "aware/bandwidth.hpp"
 #include "exp/runner.hpp"
 #include "net/topology.hpp"
@@ -17,8 +17,9 @@
 using namespace peerscope;
 
 int main(int argc, char** argv) {
-  const std::string app = argc > 1 ? argv[1] : "sopcast";
-  const std::int64_t duration_s = argc > 2 ? std::atoll(argv[2]) : 150;
+  const examples::Args args{argc, argv, "threshold_study [app] [duration_s]"};
+  const std::string app = args.text(1, "sopcast");
+  const std::int64_t duration_s = args.duration_s(2, 150);
 
   p2p::SystemProfile profile;
   if (app == "pplive") profile = p2p::SystemProfile::pplive();

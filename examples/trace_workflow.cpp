@@ -8,10 +8,10 @@
 //
 //   ./trace_workflow [output_dir] [duration_s]
 
-#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 
+#include "args.hpp"
 #include "aware/observation.hpp"
 #include "aware/report.hpp"
 #include "aware/temporal.hpp"
@@ -25,9 +25,10 @@
 using namespace peerscope;
 
 int main(int argc, char** argv) {
-  const std::filesystem::path dir =
-      argc > 1 ? argv[1] : "peerscope_traces";
-  const std::int64_t duration_s = argc > 2 ? std::atoll(argv[2]) : 60;
+  const examples::Args args{argc, argv,
+                            "trace_workflow [output_dir] [duration_s]"};
+  const std::filesystem::path dir = args.text(1, "peerscope_traces");
+  const std::int64_t duration_s = args.duration_s(2, 60);
   std::filesystem::create_directories(dir);
 
   // 1. Capture.

@@ -54,11 +54,13 @@ void AsTopology::connect(AsId a, AsId b) {
 }
 
 std::size_t AsTopology::index_of(AsId as) const {
-  const auto it = index_.find(as);
-  if (it == index_.end()) {
-    throw std::out_of_range("AsTopology: unknown " + as.to_string());
+  if (as.value() < dense_index_.size()) {
+    const std::uint32_t index = dense_index_[as.value()];
+    if (index != kNoNode) return index;
+  } else if (const auto it = index_.find(as); it != index_.end()) {
+    return it->second;
   }
-  return it->second;
+  throw std::out_of_range("AsTopology: unknown " + as.to_string());
 }
 
 void AsTopology::finalize() {
@@ -104,6 +106,18 @@ void AsTopology::finalize() {
       }
     }
   }
+  std::uint32_t dense_size = 0;
+  for (const Node& node : nodes_) {
+    if (node.as.value() < kDenseAsLimit) {
+      dense_size = std::max(dense_size, node.as.value() + 1);
+    }
+  }
+  dense_index_.assign(dense_size, kNoNode);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (nodes_[i].as.value() < dense_size) {
+      dense_index_[nodes_[i].as.value()] = static_cast<std::uint32_t>(i);
+    }
+  }
   finalized_ = true;
 }
 
@@ -123,15 +137,18 @@ Region AsTopology::region_of_as(AsId as) const {
 }
 
 int AsTopology::as_path_hops(AsId a, AsId b) const {
+  return hops_between(index_of(a), index_of(b));
+}
+
+int AsTopology::hops_between(std::size_t ia, std::size_t ib) const {
   if (!finalized_) {
     throw std::logic_error("AsTopology: path query before finalize");
   }
-  const std::size_t ia = index_of(a);
-  const std::size_t ib = index_of(b);
   const int d = dist_[ia * nodes_.size() + ib];
   if (d >= std::numeric_limits<int>::max() / 4) {
-    throw std::runtime_error("AsTopology: " + a.to_string() + " and " +
-                             b.to_string() + " are disconnected");
+    throw std::runtime_error("AsTopology: " + nodes_[ia].as.to_string() +
+                             " and " + nodes_[ib].as.to_string() +
+                             " are disconnected");
   }
   return d;
 }
@@ -168,15 +185,17 @@ PathInfo AsTopology::path(const Endpoint& src, const Endpoint& dst) const {
     return {0, util::SimTime::micros(200)};
   }
 
-  const auto& sa = nodes_[index_of(src.as)];
-  const auto& da = nodes_[index_of(dst.as)];
+  const std::size_t ia = index_of(src.as);
+  const std::size_t ib = index_of(dst.as);
+  const auto& sa = nodes_[ia];
+  const auto& da = nodes_[ib];
 
   int hops;
   if (src.as == dst.as) {
     // Intra-AS: through the IGP core, no border crossing.
     hops = src.router_depth + sa.transit_hops + dst.router_depth;
   } else {
-    hops = src.router_depth + sa.border_hops + as_path_hops(src.as, dst.as) +
+    hops = src.router_depth + sa.border_hops + hops_between(ia, ib) +
            da.border_hops + dst.router_depth;
     // Deterministic forward/reverse asymmetry: hot-potato routing makes
     // one direction up to 2 hops longer. Derived from the ordered

@@ -93,11 +93,20 @@ class AsTopology {
   };
 
   [[nodiscard]] std::size_t index_of(AsId as) const;
+  /// as_path_hops() on node indices.
+  [[nodiscard]] int hops_between(std::size_t ia, std::size_t ib) const;
   [[nodiscard]] static util::SimTime base_delay(Region a, Region b,
                                                 bool same_country);
 
   std::vector<Node> nodes_;
   std::unordered_map<AsId, std::size_t> index_;
+  /// Flat AsId -> node index table for AS numbers below
+  /// kDenseAsLimit, built at finalize() (kNoNode = unknown); the hash
+  /// map answers the rest and every lookup before finalize().
+  static constexpr std::uint32_t kDenseAsLimit = 1U << 16;
+  static constexpr std::uint32_t kNoNode =
+      std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> dense_index_;
   // dist_[i * nodes_.size() + j] = router hops border(i) -> border(j).
   std::vector<int> dist_;
   bool finalized_ = false;

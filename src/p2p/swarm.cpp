@@ -106,15 +106,17 @@ ChunkIndex Swarm::source_newest() const {
   return engine_.now() / chunk_interval_ - 1;
 }
 
-double Swarm::bg_lag_s(PeerId id, util::SimTime now) const {
-  const auto& spec = config_.profile.population;
+std::uint64_t Swarm::lag_epoch(PeerId id, util::SimTime now) const {
+  const double epoch_s = config_.profile.population.lag_epoch_s;
   // Per-peer phase so epoch boundaries are not synchronised.
   util::SplitMix64 phase_mix{config_.seed ^ (0x1a9f37ULL + id)};
-  const double phase = static_cast<double>(phase_mix.next() >> 11) *
-                       0x1.0p-53 * spec.lag_epoch_s;
-  const auto epoch = static_cast<std::uint64_t>(
-      (now.seconds() + phase) / spec.lag_epoch_s);
+  const double phase =
+      static_cast<double>(phase_mix.next() >> 11) * 0x1.0p-53 * epoch_s;
+  return static_cast<std::uint64_t>((now.seconds() + phase) / epoch_s);
+}
 
+SimTime Swarm::lag_at_epoch(PeerId id, std::uint64_t epoch) const {
+  const auto& spec = config_.profile.population;
   // Deterministic lognormal draw keyed on (seed, peer, epoch).
   util::SplitMix64 mix{config_.seed ^ (static_cast<std::uint64_t>(id)
                                        << 32) ^ epoch};
@@ -124,7 +126,7 @@ double Swarm::bg_lag_s(PeerId id, util::SimTime now) const {
   const double normal = std::sqrt(-2.0 * std::log(u1)) *
                         std::cos(2.0 * 3.14159265358979323846 * u2);
   const double sample = std::exp(spec.lag_mu + spec.lag_sigma * normal);
-  return spec.lag_floor_s + sample * lag_scale_[id];
+  return SimTime::from_seconds(spec.lag_floor_s + sample * lag_scale_[id]);
 }
 
 bool Swarm::peer_online(PeerId id, util::SimTime now) const {
@@ -273,20 +275,27 @@ void Swarm::rejoin_probe(std::size_t probe_index) {
   schedule_probe_crash(probe_index);
 }
 
-bool Swarm::peer_has_chunk(PeerId id, ChunkIndex chunk) const {
+bool Swarm::partner_has_chunk(Partner& partner, ChunkIndex chunk) {
   if (chunk < 0) return false;
-  const std::uint8_t kind = peer_kind_[id];
+  const std::uint8_t kind = peer_kind_[partner.id];
   if (kind == kSource) return chunk <= source_newest();
   if (kind == kProbe) {
-    return probes_[static_cast<std::size_t>(probe_slot_[id])].buffer.has(
-        chunk);
+    return probes_[static_cast<std::size_t>(probe_slot_[partner.id])]
+        .buffer.has(chunk);
   }
   // Background peer: the chunk reached it its current lag after the
-  // source finished emitting it.
+  // source finished emitting it. The lag is redrawn only when the
+  // peer's epoch turns, so each check is one integer compare.
   const SimTime now = engine_.now();
-  const SimTime available = chunk_interval_ * (chunk + 1) +
-                            SimTime::from_seconds(bg_lag_s(id, now));
-  return now >= available;
+  if (partner.lag_resolved != now) {
+    partner.lag_resolved = now;
+    const std::uint64_t epoch = lag_epoch(partner.id, now);
+    if (epoch != partner.lag_epoch) {
+      partner.lag_epoch = epoch;
+      partner.lag = lag_at_epoch(partner.id, epoch);
+    }
+  }
+  return now >= chunk_interval_ * (chunk + 1) + partner.lag;
 }
 
 double Swarm::cached_belief(const ProbeState& ps, PeerId id) const {
@@ -559,21 +568,20 @@ void Swarm::send_keepalives(ProbeState& ps) {
   for (const Partner& partner : ps.partners) {
     if (!rng_.chance(p_send)) continue;
     const PeerInfo& other = population_.peer(partner.id);
-    const auto fwd = topo_.path(self.ep, other.ep);
-    const auto rev = topo_.path(other.ep, self.ep);
-    const SimTime rx =
-        now + fwd.one_way_delay + rev.one_way_delay + SimTime::millis(1);
+    const SimTime rx = now + partner.fwd.one_way_delay +
+                       partner.rev.one_way_delay + SimTime::millis(1);
     sink.signaling_tx(other.ep.addr, now, sig.keepalive_bytes);
     sink.signaling_rx(other.ep.addr, rx, sig.keepalive_bytes,
-                      sim::ttl_after(rev.hops));
+                      sim::ttl_after(partner.rev.hops));
     if (probe_slot_[partner.id] >= 0) {
       trace::ProbeSink& peer_sink =
           *sinks_[static_cast<std::size_t>(probe_slot_[partner.id])];
-      peer_sink.signaling_rx(self.ep.addr, now + fwd.one_way_delay,
-                             sig.keepalive_bytes, sim::ttl_after(fwd.hops));
-      peer_sink.signaling_tx(self.ep.addr,
-                             now + fwd.one_way_delay + SimTime::millis(1),
-                             sig.keepalive_bytes);
+      peer_sink.signaling_rx(self.ep.addr, now + partner.fwd.one_way_delay,
+                             sig.keepalive_bytes,
+                             sim::ttl_after(partner.fwd.hops));
+      peer_sink.signaling_tx(
+          self.ep.addr, now + partner.fwd.one_way_delay + SimTime::millis(1),
+          sig.keepalive_bytes);
     }
   }
 }
@@ -582,6 +590,7 @@ void Swarm::maintain_partners(ProbeState& ps) {
   const auto& sched = config_.profile.sched;
   // Scale the partner set to what the uplink can sustain signaling for:
   // home-DSL probes keep fewer partners, as the real clients do.
+  const net::Endpoint& self = population_.peer(ps.id).ep;
   const auto up_bps =
       static_cast<double>(population_.peer(ps.id).access.up_bps);
   const int target = std::max(
@@ -640,7 +649,11 @@ void Swarm::maintain_partners(ProbeState& ps) {
     const double belief = cached_belief(ps, pick);
     const double accept = 0.15 + 0.85 * std::min(belief, 20.0) / 20.0;
     if (!rng_.chance(accept)) continue;
-    ps.partners.push_back({pick, belief, 0, 0});
+    const net::Endpoint& other = population_.peer(pick).ep;
+    ps.partners.push_back({.id = pick,
+                           .belief_mbps = belief,
+                           .fwd = topo_.path(self, other),
+                           .rev = topo_.path(other, self)});
     --deficit;
   }
 }
@@ -709,7 +722,7 @@ void Swarm::schedule_requests(ProbeState& ps) {
           (!peer_online(partner.id, now) || ps.blacklisted(partner.id))) {
         continue;
       }
-      if (!peer_has_chunk(partner.id, c)) continue;
+      if (!partner_has_chunk(partner, c)) continue;
       const PeerInfo& other = population_.peer(partner.id);
       Candidate candidate{partner.id, partner.belief_mbps,
                           other.ep.as == self.ep.as,
@@ -717,9 +730,8 @@ void Swarm::schedule_requests(ProbeState& ps) {
       if (wants_rtt) {
         // Next-gen policies probe RTT actively (paper §III: "it is
         // straightforward to actively measure RTT").
-        candidate.rtt_ms = (topo_.path(self.ep, other.ep).one_way_delay +
-                            topo_.path(other.ep, self.ep).one_way_delay)
-                               .millis();
+        candidate.rtt_ms =
+            (partner.fwd.one_way_delay + partner.rev.one_way_delay).millis();
       }
       candidates.push_back(candidate);
       candidate_slot.push_back(slot);
@@ -735,8 +747,8 @@ void Swarm::request_chunk(ProbeState& ps, Partner& partner, ChunkIndex chunk) {
   const auto& stream = config_.profile.stream;
   const PeerInfo& self = population_.peer(ps.id);
   const PeerInfo& other = population_.peer(partner.id);
-  const auto fwd = topo_.path(self.ep, other.ep);   // request direction
-  const auto rev = topo_.path(other.ep, self.ep);   // video direction
+  const net::PathInfo& fwd = partner.fwd;  // request direction
+  const net::PathInfo& rev = partner.rev;  // video direction
   const SimTime now = engine_.now();
   trace::ProbeSink& sink = *sinks_[ps.index];
 
@@ -760,9 +772,10 @@ void Swarm::request_chunk(ProbeState& ps, Partner& partner, ChunkIndex chunk) {
   spec.packet_bytes = stream.packet_bytes;
   spec.impairment = impairment_;
   spec.link_key = ps.id;  // outage schedule keyed on the receiver link
-  const sim::TrainResult train = sim::transmit_train(
-      spec, other.access, up_[partner.id], self.access, down_[ps.id], rev,
-      rng_, channel_for(partner.id, ps.id));
+  sim::transmit_train(spec, other.access, up_[partner.id], self.access,
+                      down_[ps.id], rev, rng_, train_,
+                      channel_for(partner.id, ps.id));
+  const sim::TrainResult& train = train_;
 
   sink.video_train_rx(other.ep.addr, train.arrivals, stream.packet_bytes,
                       sim::ttl_after(rev.hops));
@@ -859,6 +872,8 @@ void Swarm::try_spawn_requester(ProbeState& ps) {
       // peerscope-lint: allow(engine-hot-path)
       auto req = std::make_shared<Requester>();
       req->id = pick;
+      req->fwd = topo_.path(cand.ep, self.ep);
+      req->rev = topo_.path(self.ep, cand.ep);
       req->stream_share =
           cand.access.is_high_bandwidth()
               ? rng_.uniform(upload.share_hi_lo, upload.share_hi_hi)
@@ -936,11 +951,9 @@ void Swarm::requester_loop(ProbeState& ps, std::shared_ptr<Requester> req) {
   if (!ps.buffer.has(chunk)) chunk = newest;
   if (!ps.buffer.has(chunk)) return;
 
-  const auto fwd = topo_.path(other.ep, self.ep);  // request direction
-  const auto rev = topo_.path(self.ep, other.ep);  // video direction
   trace::ProbeSink& sink = *sinks_[ps.index];
   sink.signaling_rx(other.ep.addr, now, config_.profile.signaling.request_bytes,
-                    sim::ttl_after(fwd.hops));
+                    sim::ttl_after(req->fwd.hops));
 
   sim::TrainSpec spec;
   spec.start = now + SimTime::millis(1);
@@ -948,10 +961,10 @@ void Swarm::requester_loop(ProbeState& ps, std::shared_ptr<Requester> req) {
   spec.packet_bytes = stream.packet_bytes;
   spec.impairment = impairment_;
   spec.link_key = req->id;
-  const sim::TrainResult train = sim::transmit_train(
-      spec, self.access, up_[ps.id], other.access, down_[req->id], rev, rng_,
-      channel_for(ps.id, req->id));
-  sink.video_train_tx(other.ep.addr, train.departures, stream.packet_bytes);
+  sim::transmit_train(spec, self.access, up_[ps.id], other.access,
+                      down_[req->id], req->rev, rng_, train_,
+                      channel_for(ps.id, req->id));
+  sink.video_train_tx(other.ep.addr, train_.departures, stream.packet_bytes);
   ++counters_.chunks_uploaded;
 }
 

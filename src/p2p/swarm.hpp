@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <span>
 #include <unordered_map>
@@ -27,6 +28,7 @@
 #include "sim/engine.hpp"
 #include "sim/impairment.hpp"
 #include "sim/link.hpp"
+#include "sim/train.hpp"
 #include "trace/sink.hpp"
 #include "util/cancel.hpp"
 #include "util/rng.hpp"
@@ -125,6 +127,9 @@ class Swarm {
   [[nodiscard]] DiscoveryReport discovery_report() const;
 
  private:
+  static constexpr std::uint64_t kNoLagEpoch =
+      std::numeric_limits<std::uint64_t>::max();
+
   struct Partner {
     PeerId id = 0;
     double belief_mbps = 1.0;
@@ -132,12 +137,26 @@ class Swarm {
     int inflight = 0;
     /// Consecutive request timeouts; reset on any completed chunk.
     int consecutive_failures = 0;
+    /// The relationship's paths, fixed at admission: probe -> partner
+    /// (requests) and partner -> probe (video).
+    net::PathInfo fwd;
+    net::PathInfo rev;
+    /// A background partner's availability lag, memoised per lag epoch
+    /// (the draw is a pure function of seed, peer and epoch) and
+    /// re-resolved at most once per scheduling instant `lag_resolved`.
+    util::SimTime lag{0};
+    std::uint64_t lag_epoch = kNoLagEpoch;
+    util::SimTime lag_resolved = util::SimTime::max();
   };
 
   struct Requester {
     PeerId id = 0;
     double stream_share = 0.5;
     util::SimTime leaves{0};
+    /// Fixed at spawn: requester -> probe (requests) and probe ->
+    /// requester (video).
+    net::PathInfo fwd;
+    net::PathInfo rev;
   };
 
   /// Per-probe protocol state, laid out flat (DESIGN.md §14): the
@@ -238,8 +257,14 @@ class Swarm {
 
   // --- helpers ---
   [[nodiscard]] ChunkIndex source_newest() const;
-  [[nodiscard]] double bg_lag_s(PeerId id, util::SimTime now) const;
-  [[nodiscard]] bool peer_has_chunk(PeerId id, ChunkIndex chunk) const;
+  /// A background peer's lag epoch at `now` (per-peer phased), and its
+  /// availability lag during that epoch.
+  [[nodiscard]] std::uint64_t lag_epoch(PeerId id, util::SimTime now) const;
+  [[nodiscard]] util::SimTime lag_at_epoch(PeerId id,
+                                           std::uint64_t epoch) const;
+  /// Whether `partner` holds `chunk` now; resolves a background
+  /// partner's lag memo.
+  [[nodiscard]] bool partner_has_chunk(Partner& partner, ChunkIndex chunk);
   [[nodiscard]] PeerId sample_peer(const ProbeState& ps, double as_bias);
   /// Discovery handshake; false when it was refused (offline peer,
   /// NAT/firewall failure, blocked traversal).
@@ -272,12 +297,14 @@ class Swarm {
   bool nat_active_ = false;
   /// Gilbert–Elliott burst state per directed (sender, receiver) pair.
   std::unordered_map<std::uint64_t, sim::GilbertElliott> channels_;
+  /// Reused by every train the swarm expands.
+  sim::TrainResult train_;
   std::vector<sim::LinkCursor> up_;
   std::vector<sim::LinkCursor> down_;
   std::vector<std::unique_ptr<trace::ProbeSink>> sinks_;
   std::vector<ProbeState> probes_;
   /// Struct-of-arrays mirrors of the per-peer facts the inner loops
-  /// touch (DESIGN.md §14): peer_has_chunk / peer_online test these
+  /// touch (DESIGN.md §14): partner_has_chunk / peer_online test these
   /// for every candidate partner per scheduled chunk, and indexing a
   /// byte (or an int) beats dragging the full PeerInfo cache line in.
   enum PeerKind : std::uint8_t { kBackground = 0, kProbe = 1, kSource = 2 };

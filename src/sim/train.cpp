@@ -8,13 +8,11 @@
 
 namespace peerscope::sim {
 
-TrainResult transmit_train(const TrainSpec& spec,
-                           const net::AccessLink& sender,
-                           LinkCursor& sender_up,
-                           const net::AccessLink& receiver,
-                           LinkCursor& receiver_down,
-                           const net::PathInfo& path, util::Rng& rng,
-                           GilbertElliott* channel) {
+void transmit_train(const TrainSpec& spec, const net::AccessLink& sender,
+                    LinkCursor& sender_up, const net::AccessLink& receiver,
+                    LinkCursor& receiver_down, const net::PathInfo& path,
+                    util::Rng& rng, TrainResult& out,
+                    GilbertElliott* channel) {
   if (spec.packet_count <= 0 || spec.packet_bytes <= 0) {
     throw std::invalid_argument("transmit_train: empty train");
   }
@@ -32,12 +30,14 @@ TrainResult transmit_train(const TrainSpec& spec,
   GilbertElliott local_channel;
   GilbertElliott& ge = channel ? *channel : local_channel;
 
-  TrainResult result;
-  result.arrivals.reserve(static_cast<std::size_t>(spec.packet_count));
-  result.departures.reserve(static_cast<std::size_t>(spec.packet_count));
+  out.arrivals.clear();
+  out.departures.clear();
+  out.arrivals.reserve(static_cast<std::size_t>(spec.packet_count));
+  out.departures.reserve(static_cast<std::size_t>(spec.packet_count));
   // Capture artifacts (reordered/duplicated records) land out of
   // arrival order; collected here and merge-sorted at the end.
-  std::vector<util::SimTime> artifacts;
+  std::vector<util::SimTime>& artifacts = out.artifacts;
+  artifacts.clear();
 
   // Uplink: the whole chunk is written to the socket at once, so its
   // packets occupy the link contiguously — concurrent chunks queue
@@ -52,7 +52,7 @@ TrainResult transmit_train(const TrainSpec& spec,
   for (int i = 0; i < spec.packet_count; ++i) {
     const util::SimTime departed = release + up_ser;
     release = departed;  // next packet right behind
-    result.departures.push_back(departed);
+    out.departures.push_back(departed);
 
     if (imp.has_loss() && ge.lose(imp, rng)) {
       ++lost;
@@ -87,7 +87,7 @@ TrainResult transmit_train(const TrainSpec& spec,
                               rng.uniform01() *
                               static_cast<double>(imp.reorder_delay.ns()))));
     } else {
-      result.arrivals.push_back(arrival);
+      out.arrivals.push_back(arrival);
     }
     if (imp.duplicate_rate > 0.0 && rng.chance(imp.duplicate_rate)) {
       // Capture duplication: the same packet recorded twice a few
@@ -100,11 +100,11 @@ TrainResult transmit_train(const TrainSpec& spec,
     }
   }
   if (!artifacts.empty()) {
-    result.arrivals.insert(result.arrivals.end(), artifacts.begin(),
-                           artifacts.end());
-    std::sort(result.arrivals.begin(), result.arrivals.end());
+    out.arrivals.insert(out.arrivals.end(), artifacts.begin(),
+                        artifacts.end());
+    std::sort(out.arrivals.begin(), out.arrivals.end());
   }
-  result.sender_done = release;
+  out.sender_done = release;
   if (metrics) {
     obs::counter("sim.trains_expanded").add();
     obs::counter("sim.packets_generated")
@@ -118,7 +118,6 @@ TrainResult transmit_train(const TrainSpec& spec,
                      std::chrono::steady_clock::now() - wall_start)
                      .count());
   }
-  return result;
 }
 
 }  // namespace peerscope::sim

@@ -39,6 +39,9 @@ struct TrainSpec {
   std::uint64_t link_key = 0;
 };
 
+/// One expanded train. Callers keep one and pass it to every
+/// transmit_train call, so the vectors' capacity is reused and a train
+/// allocates nothing once the buffers have grown.
 struct TrainResult {
   /// Receiver-side arrival time of each packet, non-decreasing.
   std::vector<util::SimTime> arrivals;
@@ -47,6 +50,9 @@ struct TrainResult {
   std::vector<util::SimTime> departures;
   /// When the sender uplink finished serialising the last packet.
   util::SimTime sender_done{0};
+  /// Scratch: capture artifacts (reordered/duplicated records) before
+  /// they are merged into `arrivals`.
+  std::vector<util::SimTime> artifacts;
   /// When the last packet was fully received (== arrivals.back()).
   [[nodiscard]] util::SimTime completed() const {
     return arrivals.empty() ? util::SimTime::zero() : arrivals.back();
@@ -54,17 +60,15 @@ struct TrainResult {
 };
 
 /// Simulates one burst from `sender` to `receiver` over `path`,
-/// advancing both link cursors. Deterministic given the RNG state.
-/// `channel` carries Gilbert–Elliott burst state across trains on the
-/// same directed pair; pass nullptr for a memoryless channel (always
-/// correct when impairment.loss_burst <= 1).
-[[nodiscard]] TrainResult transmit_train(const TrainSpec& spec,
-                                         const net::AccessLink& sender,
-                                         LinkCursor& sender_up,
-                                         const net::AccessLink& receiver,
-                                         LinkCursor& receiver_down,
-                                         const net::PathInfo& path,
-                                         util::Rng& rng,
-                                         GilbertElliott* channel = nullptr);
+/// advancing both link cursors, and overwrites `out` with it.
+/// Deterministic given the RNG state. `channel` carries Gilbert–Elliott
+/// burst state across trains on the same directed pair; pass nullptr
+/// for a memoryless channel (always correct when
+/// impairment.loss_burst <= 1).
+void transmit_train(const TrainSpec& spec, const net::AccessLink& sender,
+                    LinkCursor& sender_up, const net::AccessLink& receiver,
+                    LinkCursor& receiver_down, const net::PathInfo& path,
+                    util::Rng& rng, TrainResult& out,
+                    GilbertElliott* channel = nullptr);
 
 }  // namespace peerscope::sim

@@ -35,9 +35,9 @@ namespace peerscope::trace {
     std::span<const std::int64_t> smallest, std::uint64_t samples,
     int discard);
 
+/// Field order keeps the struct at 168 bytes on x86-64: `remote` sits
+/// with the TTL bytes instead of padding the head.
 struct FlowStats {
-  net::Ipv4Addr remote;
-
   std::uint64_t rx_pkts = 0;
   std::uint64_t rx_bytes = 0;
   std::uint64_t tx_pkts = 0;
@@ -71,6 +71,8 @@ struct FlowStats {
     return robust_min_ipg(smallest_rx_ipgs, rx_ipg_samples, discard);
   }
 
+  net::Ipv4Addr remote;
+
   /// TTL observed on received packets (stable per path in the model;
   /// the last observation is kept).
   std::uint8_t rx_ttl = 0;
@@ -86,6 +88,9 @@ struct FlowStats {
 
   util::SimTime first_ts = util::SimTime::max();
   util::SimTime last_ts = util::SimTime::zero();
+  /// Last RX video timestamp, the online IPG update's anchor; only
+  /// meaningful once rx_video_pkts > 0.
+  util::SimTime last_rx_video_ts = util::SimTime::zero();
 
   [[nodiscard]] bool has_min_ipg() const {
     return min_rx_video_ipg_ns !=
@@ -104,6 +109,15 @@ class FlowTable {
   /// arrive in non-decreasing timestamp order for the IPG tracking to
   /// match the offline path (the simulator guarantees this per remote).
   void add(const PacketRecord& record);
+
+  /// Online update with one video train to or from `remote`: one record
+  /// per timestamp, each `bytes` long, RX records carrying `ttl`. Equal
+  /// to feeding those records through add() one by one, at one flow
+  /// lookup per train. `timestamps` must be non-decreasing (a train's
+  /// arrivals or departures); an empty span creates no flow.
+  void add_train(net::Ipv4Addr remote, Direction dir,
+                 std::span<const util::SimTime> timestamps,
+                 std::int32_t bytes, std::uint8_t ttl);
 
   /// Offline build: sorts a copy of `records` by time and feeds it.
   [[nodiscard]] static FlowTable from_records(
@@ -124,10 +138,16 @@ class FlowTable {
   [[nodiscard]] std::uint64_t total_tx_pkts() const { return total_tx_pkts_; }
 
  private:
+  /// The flow for `remote` (created on first use), its time span
+  /// widened to [first, last].
+  FlowStats& touch(net::Ipv4Addr remote, util::SimTime first,
+                   util::SimTime last);
+  /// Adds `pkts` packets totalling `bytes` to the flow and the table.
+  void count(FlowStats& f, Direction dir, bool video, std::uint64_t pkts,
+             std::uint64_t bytes);
+
   net::Ipv4Addr probe_;
   std::unordered_map<net::Ipv4Addr, FlowStats> flows_;
-  // Last RX video timestamp per remote, for the online IPG update.
-  std::unordered_map<net::Ipv4Addr, util::SimTime> last_rx_video_;
   std::uint64_t total_rx_bytes_ = 0;
   std::uint64_t total_tx_bytes_ = 0;
   std::uint64_t total_rx_pkts_ = 0;

@@ -29,13 +29,16 @@ class ProbeSink {
     if (keep_records_) records_.push_back(record);
   }
 
-  /// A received video burst: one RX record per packet arrival.
+  /// A received video burst: one RX record per packet arrival, folded
+  /// into the flow table as one train update.
   void video_train_rx(net::Ipv4Addr remote,
                       std::span<const util::SimTime> arrivals,
                       std::int32_t bytes_per_packet, std::uint8_t ttl) {
+    flows_.add_train(remote, Direction::kRx, arrivals, bytes_per_packet, ttl);
+    if (!keep_records_) return;
     for (const auto ts : arrivals) {
-      on_packet({ts, remote, bytes_per_packet, Direction::kRx,
-                 sim::PacketKind::kVideo, ttl});
+      records_.push_back({ts, remote, bytes_per_packet, Direction::kRx,
+                          sim::PacketKind::kVideo, ttl});
     }
   }
 
@@ -43,9 +46,12 @@ class ProbeSink {
   void video_train_tx(net::Ipv4Addr remote,
                       std::span<const util::SimTime> departures,
                       std::int32_t bytes_per_packet) {
+    flows_.add_train(remote, Direction::kTx, departures, bytes_per_packet,
+                     sim::kInitialTtl);
+    if (!keep_records_) return;
     for (const auto ts : departures) {
-      on_packet({ts, remote, bytes_per_packet, Direction::kTx,
-                 sim::PacketKind::kVideo, sim::kInitialTtl});
+      records_.push_back({ts, remote, bytes_per_packet, Direction::kTx,
+                          sim::PacketKind::kVideo, sim::kInitialTtl});
     }
   }
 

@@ -5,19 +5,25 @@
 // the status.json the live monitor published; a run that sustainedly
 // violates a declared SLO exits 10 with a flight-recorder dump; a
 // healthy run's trace export after its simulation is never judged; a
-// tracker outage fails over (exit 0) or degrades (exit 8 + dump); and
-// malformed integer flags exit 4 instead of running.
+// tracker outage fails over (exit 0) or degrades (exit 8 + dump);
+// malformed integer flags (and example arguments) exit 4 instead of
+// running; and a reproduce batch SIGKILLed after its first journaled
+// result resumes to a report byte-identical to an uninterrupted one.
 //
 // The bench telemetry hooks ride along: bench_table2's PEERSCOPE_BENCH_*
 // summary agrees with its sidecars, leaves stdout alone, traces
 // deterministically, and rejects a malformed duration with exit 2.
 //
 // The binaries' paths come from the build (PEERSCOPE_CLI,
-// PEERSCOPE_BENCH_TABLE2); each test works in its own scratch
-// directory.
+// PEERSCOPE_BENCH_TABLE2, PEERSCOPE_QUICKSTART); each test works in its
+// own scratch directory.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <signal.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
@@ -25,6 +31,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 
 #include "exp/status.hpp"
 #include "support/temp_dir.hpp"
@@ -248,6 +255,76 @@ TEST_F(LiveCli, MalformedIoFaultsSeedExits4) {
   const CliResult ok =
       peerscope("--io-faults fsync-fail#2 --io-faults-seed 7 testbed");
   EXPECT_EQ(ok.code, 0) << ok.err;
+}
+
+TEST_F(LiveCli, ExampleRejectsMalformedIntegers) {
+  // A lenient parser ran this as "2 s, seed 0" and exited 0.
+  const CliResult bad = run(PEERSCOPE_QUICKSTART, "tvants banana 2x", "");
+  EXPECT_EQ(bad.code, 4) << bad.err;
+  EXPECT_NE(bad.err.find("usage: quickstart"), std::string::npos) << bad.err;
+  EXPECT_TRUE(bad.out.empty()) << bad.out;
+}
+
+// Crash safety: SIGKILL a traced reproduce batch once its first run is
+// durably journaled, plant the torn flight dump a kill can leave in
+// journal.d, and resume. The resumed report must be byte-identical to
+// an uninterrupted reference run, tracing and the torn dump
+// notwithstanding.
+TEST_F(LiveCli, KilledReproduceResumesToAByteIdenticalReport) {
+  fs::create_directories(dir_ / "ref");
+  fs::create_directories(dir_ / "run");
+  const CliResult reference =
+      peerscope("reproduce --out ref/REPORT.md --duration 900");
+  ASSERT_EQ(reference.code, 0) << reference.err;
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // Child: the traced batch, output discarded.
+    // peerscope-lint: allow(no-raw-artifact-io): opens /dev/null
+    const int null = ::open("/dev/null", O_WRONLY);
+    if (null < 0 || ::chdir(dir_.c_str()) != 0) ::_exit(127);
+    ::dup2(null, STDOUT_FILENO);
+    ::dup2(null, STDERR_FILENO);
+    ::execl(PEERSCOPE_CLI, PEERSCOPE_CLI, "--trace", "run/trace.json",
+            "reproduce", "--out", "run/REPORT.md", "--duration", "900",
+            static_cast<char*>(nullptr));
+    ::_exit(127);
+  }
+  const fs::path journal = dir_ / "run" / "experiment.journal";
+  const auto journaled_ok = [&] {
+    return read_file(journal).find(R"("state":"ok")") != std::string::npos;
+  };
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(120);
+  bool exited = false;
+  int status = 0;
+  while (!journaled_ok() && std::chrono::steady_clock::now() < give_up) {
+    if (::waitpid(pid, &status, WNOHANG) == pid) {
+      exited = true;
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  if (!exited) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, &status, 0);
+  }
+  ASSERT_TRUE(journaled_ok()) << "no completed run was journaled";
+
+  fs::create_directories(dir_ / "run" / "experiment.journal.d");
+  util::write_file_atomic(
+      dir_ / "run" / "experiment.journal.d" / "torn-by-sigkill.trace.json",
+      "{\"schema\": \"peerscope.trace/1\",\n\"traceEvents\": [\n"
+      "{\"name\": \"run.torn");
+  const CliResult resumed = peerscope(
+      "--trace run/trace.json reproduce --out run/REPORT.md --duration 900"
+      " --resume");
+  ASSERT_EQ(resumed.code, 0) << resumed.err;
+  EXPECT_NE(resumed.err.find("skipped"), std::string::npos) << resumed.err;
+  const std::string expected = read_file(dir_ / "ref" / "REPORT.md");
+  EXPECT_FALSE(expected.empty());
+  EXPECT_EQ(read_file(dir_ / "run" / "REPORT.md"), expected);
 }
 
 // Discovery outage: the tracker dies mid-run. With a DHT fallback every

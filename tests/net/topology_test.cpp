@@ -60,6 +60,21 @@ TEST(AsTopology, ErrorsOnMisuse) {
   EXPECT_THROW((void)topo.as_path_hops(AsId{1}, AsId{9}), std::out_of_range);
 }
 
+TEST(AsTopology, AsNumbersPastTheFlatTableStillResolve) {
+  // 4-byte AS numbers sit past the flat lookup table; the hash map
+  // answers them, and unknown numbers on either side still throw.
+  AsTopology topo;
+  topo.add_as(AsId{7}, kItaly, Region::kEurope);
+  topo.add_as(AsId{4'200'000'000U}, kChina, Region::kAsia);
+  topo.connect(AsId{7}, AsId{4'200'000'000U});
+  topo.finalize();
+  EXPECT_EQ(topo.as_path_hops(AsId{7}, AsId{4'200'000'000U}), 1);
+  EXPECT_EQ(topo.region_of_as(AsId{4'200'000'000U}), Region::kAsia);
+  EXPECT_THROW((void)topo.as_path_hops(AsId{7}, AsId{6}), std::out_of_range);
+  EXPECT_THROW((void)topo.as_path_hops(AsId{7}, AsId{70'000}),
+               std::out_of_range);
+}
+
 TEST(AsTopology, DisconnectedPairThrows) {
   AsTopology topo;
   topo.add_as(AsId{1}, kItaly, Region::kEurope);

@@ -34,9 +34,9 @@ TEST_P(TrainRateSweep, MinGapEqualsBottleneckSerialisation) {
   spec.packet_bytes = 1250;
   spec.jitter_max = SimTime::zero();
 
-  const TrainResult result = transmit_train(
-      spec, sender, up_cursor, receiver, down_cursor,
-      {15, SimTime::millis(50)}, rng);
+  TrainResult result;
+  transmit_train(spec, sender, up_cursor, receiver, down_cursor,
+                 {15, SimTime::millis(50)}, rng, result);
 
   std::int64_t min_gap = std::numeric_limits<std::int64_t>::max();
   for (std::size_t i = 1; i < result.arrivals.size(); ++i) {
@@ -63,9 +63,9 @@ TEST_P(TrainRateSweep, DeparturesNeverPrecedeStartAndStayOrdered) {
   spec.packet_bytes = 1250;
   spec.start = SimTime::seconds(3);
 
-  const TrainResult result = transmit_train(
-      spec, sender, up_cursor, receiver, down_cursor,
-      {10, SimTime::millis(20)}, rng);
+  TrainResult result;
+  transmit_train(spec, sender, up_cursor, receiver, down_cursor,
+                 {10, SimTime::millis(20)}, rng, result);
   EXPECT_GT(result.departures.front(), spec.start);
   EXPECT_TRUE(
       std::is_sorted(result.departures.begin(), result.departures.end()));
@@ -93,14 +93,14 @@ TEST(TrainConservation, EveryPacketArrivesExactlyOnce) {
   AccessLink link = AccessLink::lan100();
   LinkCursor up, down;
   util::Rng rng{3};
-  for (const int count : {1, 2, 13, 100}) {
+  TrainResult result;  // reused: each call overwrites the previous train
+  for (const int count : {100, 13, 1, 2}) {
     TrainSpec spec;
     spec.packet_count = count;
     spec.packet_bytes = 1250;
     spec.start = up.busy_until() + util::SimTime::millis(1);
-    const TrainResult result =
-        transmit_train(spec, link, up, link, down,
-                       {5, util::SimTime::millis(10)}, rng);
+    transmit_train(spec, link, up, link, down, {5, util::SimTime::millis(10)},
+                   rng, result);
     EXPECT_EQ(result.arrivals.size(), static_cast<std::size_t>(count));
     EXPECT_EQ(result.departures.size(), static_cast<std::size_t>(count));
   }

@@ -40,8 +40,8 @@ TEST(Train, ArrivalsAreMonotoneAndComplete) {
   AccessLink receiver = AccessLink::lan100();
   LinkCursor up, down;
   Rng rng{1};
-  const TrainResult r =
-      transmit_train(spec13(), sender, up, receiver, down, flat_path(), rng);
+  TrainResult r;
+  transmit_train(spec13(), sender, up, receiver, down, flat_path(), rng, r);
   ASSERT_EQ(r.arrivals.size(), 13u);
   ASSERT_EQ(r.departures.size(), 13u);
   EXPECT_TRUE(std::is_sorted(r.arrivals.begin(), r.arrivals.end()));
@@ -54,8 +54,8 @@ TEST(Train, LanToLanGapIsLanSerialisation) {
   AccessLink receiver = AccessLink::lan100();
   LinkCursor up, down;
   Rng rng{1};
-  const TrainResult r =
-      transmit_train(spec13(), sender, up, receiver, down, flat_path(), rng);
+  TrainResult r;
+  transmit_train(spec13(), sender, up, receiver, down, flat_path(), rng, r);
   // 1250 B at 100 Mb/s = 100 us spacing at both ends.
   EXPECT_EQ(min_gap(r.arrivals), 100'000);
 }
@@ -66,8 +66,8 @@ TEST(Train, SlowSenderSetsTheGap) {
   AccessLink receiver = AccessLink::lan100();
   LinkCursor up, down;
   Rng rng{1};
-  const TrainResult r =
-      transmit_train(spec13(), sender, up, receiver, down, flat_path(), rng);
+  TrainResult r;
+  transmit_train(spec13(), sender, up, receiver, down, flat_path(), rng, r);
   EXPECT_EQ(min_gap(r.arrivals), 26'041'667);
   EXPECT_GT(min_gap(r.arrivals), 1'000'000);  // > 1 ms -> low-bandwidth
 }
@@ -78,8 +78,8 @@ TEST(Train, TwentyMbpsSenderIsHighBandwidth) {
   AccessLink receiver = AccessLink::lan100();
   LinkCursor up, down;
   Rng rng{1};
-  const TrainResult r =
-      transmit_train(spec13(), sender, up, receiver, down, flat_path(), rng);
+  TrainResult r;
+  transmit_train(spec13(), sender, up, receiver, down, flat_path(), rng, r);
   // 1250 B at 20 Mb/s = 500 us < 1 ms -> high-bandwidth.
   EXPECT_EQ(min_gap(r.arrivals), 500'000);
 }
@@ -91,8 +91,8 @@ TEST(Train, ShapedDslReceiverMeasuresLineRate) {
   AccessLink receiver = AccessLink::dsl(4, 0.384);
   LinkCursor up, down;
   Rng rng{1};
-  const TrainResult r =
-      transmit_train(spec13(), sender, up, receiver, down, flat_path(), rng);
+  TrainResult r;
+  transmit_train(spec13(), sender, up, receiver, down, flat_path(), rng, r);
   EXPECT_EQ(min_gap(r.arrivals), 416'667);  // 1250 B at 24 Mb/s
   EXPECT_LT(min_gap(r.arrivals), 1'000'000);
 }
@@ -105,10 +105,10 @@ TEST(Train, ConcurrentTrainsDoNotInterleaveOnUplink) {
   AccessLink receiver = AccessLink::lan100();
   LinkCursor up, down_a, down_b;
   Rng rng{1};
-  const TrainResult a = transmit_train(spec13(), sender, up, receiver, down_a,
-                                       flat_path(), rng);
-  const TrainResult b = transmit_train(spec13(), sender, up, receiver, down_b,
-                                       flat_path(), rng);
+  TrainResult a;
+  transmit_train(spec13(), sender, up, receiver, down_a, flat_path(), rng, a);
+  TrainResult b;
+  transmit_train(spec13(), sender, up, receiver, down_b, flat_path(), rng, b);
   EXPECT_EQ(min_gap(a.arrivals), 500'000);
   EXPECT_EQ(min_gap(b.arrivals), 500'000);
   // Train b waited for a's full serialisation.
@@ -120,12 +120,12 @@ TEST(Train, PathDelayShiftsArrivals) {
   AccessLink link = AccessLink::lan100();
   LinkCursor up1, down1, up2, down2;
   Rng rng1{1}, rng2{1};
-  const TrainResult near = transmit_train(
-      spec13(), link, up1, link, down1, flat_path(5, SimTime::millis(10)),
-      rng1);
-  const TrainResult far = transmit_train(
-      spec13(), link, up2, link, down2, flat_path(5, SimTime::millis(150)),
-      rng2);
+  TrainResult near;
+  transmit_train(spec13(), link, up1, link, down1,
+                 flat_path(5, SimTime::millis(10)), rng1, near);
+  TrainResult far;
+  transmit_train(spec13(), link, up2, link, down2,
+                 flat_path(5, SimTime::millis(150)), rng2, far);
   EXPECT_EQ((far.arrivals.front() - near.arrivals.front()),
             SimTime::millis(140));
 }
@@ -137,9 +137,9 @@ TEST(Train, JitterNeverReordersArrivals) {
   Rng rng{7};
   TrainSpec spec = spec13();
   spec.jitter_max = SimTime::micros(500);  // bigger than the 100 us gap
+  TrainResult r;  // reused across trains, as the swarm does
   for (int i = 0; i < 20; ++i) {
-    const TrainResult r =
-        transmit_train(spec, sender, up, receiver, down, flat_path(), rng);
+    transmit_train(spec, sender, up, receiver, down, flat_path(), rng, r);
     EXPECT_TRUE(std::is_sorted(r.arrivals.begin(), r.arrivals.end()));
   }
 }
@@ -148,8 +148,9 @@ TEST(Train, StartInFutureRespected) {
   AccessLink link = AccessLink::lan100();
   LinkCursor up, down;
   Rng rng{1};
-  const TrainResult r = transmit_train(spec13(SimTime::seconds(5)), link, up,
-                                       link, down, flat_path(), rng);
+  TrainResult r;
+  transmit_train(spec13(SimTime::seconds(5)), link, up, link, down,
+                 flat_path(), rng, r);
   EXPECT_GE(r.departures.front(), SimTime::seconds(5));
 }
 
@@ -158,15 +159,41 @@ TEST(Train, RejectsEmptyTrain) {
   LinkCursor up, down;
   Rng rng{1};
   TrainSpec bad = spec13();
+  TrainResult out;
   bad.packet_count = 0;
-  EXPECT_THROW((void)transmit_train(bad, link, up, link, down, flat_path(),
-                                    rng),
-               std::invalid_argument);
+  EXPECT_THROW(
+      transmit_train(bad, link, up, link, down, flat_path(), rng, out),
+      std::invalid_argument);
   bad.packet_count = 5;
   bad.packet_bytes = 0;
-  EXPECT_THROW((void)transmit_train(bad, link, up, link, down, flat_path(),
-                                    rng),
-               std::invalid_argument);
+  EXPECT_THROW(
+      transmit_train(bad, link, up, link, down, flat_path(), rng, out),
+      std::invalid_argument);
+}
+
+TEST(Train, ReusedResultEqualsAFreshOne) {
+  // One TrainResult carried across impaired trains (reordering and
+  // duplication fill its artifact scratch, loss empties some) must hold
+  // exactly what a fresh result would after each call.
+  AccessLink link = AccessLink::lan100();
+  LinkCursor up_a, down_a, up_b, down_b;
+  Rng rng_a{5}, rng_b{5};
+  TrainSpec spec = spec13();
+  spec.impairment.loss_rate = 0.3;
+  spec.impairment.reorder_rate = 0.2;
+  spec.impairment.duplicate_rate = 0.2;
+  TrainResult reused;
+  for (int i = 0; i < 50; ++i) {
+    spec.packet_count = 1 + (i * 7) % 20;
+    spec.start = SimTime::millis(10 * i);
+    transmit_train(spec, link, up_a, link, down_a, flat_path(), rng_a,
+                   reused);
+    TrainResult fresh;
+    transmit_train(spec, link, up_b, link, down_b, flat_path(), rng_b, fresh);
+    ASSERT_EQ(reused.arrivals, fresh.arrivals) << "train " << i;
+    ASSERT_EQ(reused.departures, fresh.departures) << "train " << i;
+    ASSERT_EQ(reused.sender_done, fresh.sender_done) << "train " << i;
+  }
 }
 
 TEST(TtlAfter, DecrementsAndSaturates) {
