@@ -12,13 +12,17 @@ using namespace peerscope::bench;
 
 namespace {
 
+/// The sweep runs many experiments, so each is capped at 120 s.
+std::int64_t sweep_seconds(const BenchConfig& cfg) {
+  return std::min<std::int64_t>(cfg.seconds, 120);
+}
+
 exp::RunSpec base_spec(const BenchConfig& cfg) {
   exp::RunSpec spec;
   spec.profile = p2p::SystemProfile::tvants();
   spec.profile.population.background_peers = 520;
   spec.seed = cfg.seed;
-  spec.duration = util::SimTime::seconds(std::min<std::int64_t>(
-      cfg.seconds, 120));  // the sweep runs many experiments
+  spec.duration = util::SimTime::seconds(sweep_seconds(cfg));
   return spec;
 }
 
@@ -28,6 +32,7 @@ int main() {
   bench::Session session{"bench_ablation_selection"};
   const BenchConfig cfg = BenchConfig::from_env();
   const net::AsTopology topo = net::make_reference_topology();
+  std::vector<aware::Claim> claims;
 
   std::cout << "=== Ablation A: same-AS scheduling weight vs recovered AS "
                "preference (3 seeds per point) ===\n\n";
@@ -65,12 +70,12 @@ int main() {
       if (b < previous - 2.0) monotone = false;  // noise tolerance
       previous = b;
     }
-    std::cout << table.render();
-    std::cout << "recovered AS byte-preference rises with the planted "
-                 "weight: "
-              << (monotone && weight_max > 1.8 * weight_off ? "yes" : "NO")
-              << " (" << fmt(weight_off) << "% -> " << fmt(weight_max)
-              << "%)\n\n";
+    std::cout << table.render() << '\n';
+    claims.push_back({"recovered AS byte-preference rises with the planted "
+                      "weight (monotone, max > 1.8x off)",
+                      60,
+                      {{"B' off", weight_off}, {"B' max", weight_max}},
+                      monotone && weight_max > 1.8 * weight_off});
   }
 
   std::cout << "=== Ablation B: bandwidth weight vs recovered BW "
@@ -96,17 +101,17 @@ int main() {
         first = false;
       }
     }
-    std::cout << table.render();
+    std::cout << table.render() << '\n';
     // The sweep's finding is *robustness*, not monotonicity: even with
     // the selection weight off, high-bandwidth peers carry ~all bytes,
     // because capacity physics (DSL uplinks cannot serve the stream)
     // and their earlier chunk availability dominate. The explicit
     // weight only sharpens the margins. This is the paper's result in
     // its strongest form: BW "awareness" is partly inevitable.
-    std::cout << "BW byte-preference persists with the selection weight "
-                 "off (emergent from capacity alone): "
-              << (weight_off_b > 90.0 ? "yes" : "NO") << " ("
-              << fmt(weight_off_b) << "% at weight 0)\n\n";
+    claims.push_back(aware::descending(
+        "BW byte-preference persists with the selection weight off "
+        "(emergent from capacity alone)",
+        30, {{"B' at weight 0", weight_off_b}, {"bound", 90.0}}));
   }
 
   std::cout << "=== Ablation C: discovery AS bias vs recovered peer-wise "
@@ -131,9 +136,10 @@ int main() {
       last_p = cell.p_prime_pct.value_or(0);
     }
     std::cout << table.render();
-    std::cout << "discovery bias moves the PEER-wise preference (the "
-                 "TVAnts-vs-PPLive distinction): "
-              << (last_p > first_p ? "yes" : "NO") << '\n';
+    claims.push_back(aware::descending(
+        "discovery bias moves the PEER-wise preference (the "
+        "TVAnts-vs-PPLive distinction)",
+        30, {{"P' at max bias", last_p}, {"P' at bias 0", first_p}}));
   }
-  return 0;
+  return judge_claims(claims, sweep_seconds(cfg));
 }

@@ -38,25 +38,6 @@ int main() {
     std::cout << table.render() << '\n';
   }
 
-  std::cout << "shape checks (must hold):\n";
-  bool cn_dominates = true;
-  bool eu_bytes_exceed_peers = true;
-  for (const auto& result : results) {
-    const auto shares = aware::geo_breakdown(result.observations);
-    for (std::size_t i = 1; i < shares.size(); ++i) {
-      if (shares[0].peer_pct <= shares[i].peer_pct) cn_dominates = false;
-    }
-    double eu_peers = 0, eu_rx = 0;
-    for (std::size_t i = 1; i <= 4; ++i) {  // HU IT FR PL
-      eu_peers += shares[i].peer_pct;
-      eu_rx += shares[i].rx_bytes_pct;
-    }
-    if (eu_rx <= eu_peers) eu_bytes_exceed_peers = false;
-  }
-  std::cout << "  CN holds the plurality of contacted peers in every app: "
-            << (cn_dominates ? "yes" : "NO") << '\n';
-  std::cout << "  European byte share exceeds European peer share "
-               "(the locality hint Fig. 1 motivates): "
-            << (eu_bytes_exceed_peers ? "yes" : "NO") << '\n';
-  return 0;
+  return judge_claims(aware::paper_claims(paper_runs(results), "Fig1"),
+                      cfg.seconds);
 }

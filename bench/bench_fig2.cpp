@@ -62,42 +62,10 @@ int main() {
   }
 
   std::cout << "paper ratios: ";
-  for (const auto& paper : kPaperFig2Ratios) {
+  for (const auto& paper : aware::kPaperFig2Ratios) {
     std::cout << paper.app << " R=" << fmt(paper.ratio, 2) << "  ";
   }
-  std::cout << "\n\nshape checks (must hold):\n";
-  const double r_pplive =
-      aware::as_traffic_matrix(results[0].observations).intra_inter_ratio;
-  const double r_sopcast =
-      aware::as_traffic_matrix(results[1].observations).intra_inter_ratio;
-  const double r_tvants =
-      aware::as_traffic_matrix(results[2].observations).intra_inter_ratio;
-  const double r_popular =
-      aware::as_traffic_matrix(results[3].observations).intra_inter_ratio;
-  std::cout << "  R(TVAnts) > 1.5 (clear intra-AS preference, paper 1.93): "
-            << (r_tvants > 1.5 ? "yes" : "NO") << " (" << fmt(r_tvants, 2)
-            << ")\n";
-  std::cout << "  R(SopCast) shows no intra-AS preference (< 1.5, paper "
-               "0.2): "
-            << (r_sopcast < 1.5 ? "yes" : "NO") << " (" << fmt(r_sopcast, 2)
-            << ")\n";
-  std::cout << "  R(TVAnts) > R(SopCast): "
-            << (r_tvants > r_sopcast ? "yes" : "NO") << '\n';
-  std::cout << "  PPLive intra-AS traffic is mostly hop-0/LAN (with-LAN "
-               "ratio >> subnet-excluded R, paper's §IV-B observation): "
-            << (aware::as_traffic_matrix(results[0].observations)
-                        .intra_inter_ratio_with_lan > 3 * r_pplive
-                    ? "yes"
-                    : "NO")
-            << "\n";
-  std::cout << "  PPLive-Popular shows the strongest LAN-local intra-AS "
-               "bias: "
-            << (aware::as_traffic_matrix(results[3].observations)
-                        .intra_inter_ratio_with_lan >
-                        aware::as_traffic_matrix(results[0].observations)
-                            .intra_inter_ratio_with_lan
-                    ? "yes"
-                    : "NO")
-            << " (with-LAN " << fmt(r_popular, 2) << " ex-LAN)\n";
-  return 0;
+  std::cout << '\n';
+  return judge_claims(aware::paper_claims(paper_runs(results), "Fig2"),
+                      cfg.seconds);
 }

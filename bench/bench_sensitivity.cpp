@@ -24,8 +24,9 @@ int main() {
   const net::AsTopology topo = net::make_reference_topology();
   const std::uint64_t seeds[] = {cfg.seed,     cfg.seed + 1, cfg.seed + 2,
                                  cfg.seed + 3, cfg.seed + 4};
-  const auto duration = util::SimTime::seconds(
-      std::min<std::int64_t>(cfg.seconds, 150));  // 5 replications each
+  const std::int64_t seconds =
+      std::min<std::int64_t>(cfg.seconds, 150);  // 5 replications each
+  const auto duration = util::SimTime::seconds(seconds);
 
   std::cout << "=== Replication sensitivity: mean ± stddev over "
             << std::size(seeds) << " seeds (" << duration.seconds()
@@ -34,7 +35,6 @@ int main() {
   util::ThreadPool pool;
   util::TextTable table{{"App", "metric", "B'D%", "P'D%", "BD%", "PD%",
                          "self-bias bytes%"}};
-  bool tvants_above_sopcast = true;
   double tvants_as_b = 0, sopcast_as_b = 0, sopcast_as_sd = 0;
 
   for (const auto& profile :
@@ -62,11 +62,9 @@ int main() {
   }
   std::cout << table.render();
 
-  tvants_above_sopcast = tvants_as_b > sopcast_as_b + 2 * sopcast_as_sd;
-  std::cout << "\nshape checks (must hold):\n"
-            << "  TVAnts AS byte-preference exceeds SopCast's by > 2 sigma: "
-            << (tvants_above_sopcast ? "yes" : "NO") << " ("
-            << fmt(tvants_as_b) << " vs " << fmt(sopcast_as_b) << "±"
-            << fmt(sopcast_as_sd) << ")\n";
-  return 0;
+  const aware::Claim claim = aware::descending(
+      "TVAnts AS byte-preference exceeds SopCast's by > 2 sigma", 30,
+      {{"TVAnts B'", tvants_as_b},
+       {"SopCast B' + 2 sigma", sopcast_as_b + 2 * sopcast_as_sd}});
+  return judge_claims({&claim, 1}, seconds);
 }

@@ -23,7 +23,7 @@ int main() {
                          "TX max", "peers mean", "peers max", "cRX mean",
                          "cRX max", "cTX mean", "cTX max", "observed"}};
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& paper = kPaperTable2[i];
+    const auto& paper = aware::kPaperTable2[i];
     const aware::ExperimentSummary s =
         aware::summarize(results[i].observations);
     if (cfg.outdir) {
@@ -51,21 +51,6 @@ int main() {
   }
   std::cout << table.render();
 
-  std::cout << "\nshape checks (must hold):\n";
-  const auto peers = [&](std::size_t i) {
-    return aware::summarize(results[i].observations).all_peers_mean;
-  };
-  const auto tx = [&](std::size_t i) {
-    return aware::summarize(results[i].observations).tx_kbps_mean;
-  };
-  std::cout << "  peers(PPLive) > peers(SopCast) > peers(TVAnts): "
-            << (peers(0) > peers(1) && peers(1) > peers(2) ? "yes" : "NO")
-            << '\n';
-  std::cout << "  PPLive TX >> its RX (upload exploitation): "
-            << (tx(0) > 3 * aware::summarize(results[0].observations)
-                                .rx_kbps_mean
-                    ? "yes"
-                    : "NO")
-            << '\n';
-  return 0;
+  return judge_claims(aware::paper_claims(paper_runs(results), "T2"),
+                      cfg.seconds);
 }

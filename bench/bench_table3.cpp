@@ -19,7 +19,7 @@ int main() {
   util::TextTable table{{"App", "src", "contrib Peer%", "contrib Bytes%",
                          "all Peer%", "all Bytes%"}};
   for (std::size_t i = 0; i < results.size(); ++i) {
-    const auto& paper = kPaperTable3[i];
+    const auto& paper = aware::kPaperTable3[i];
     const aware::SelfBias bias = aware::self_bias(results[i].observations);
     table.add_row({paper.app, "paper", fmt(paper.contrib_peer_pct, 2),
                    fmt(paper.contrib_bytes_pct, 2), fmt(paper.all_peer_pct, 2),
@@ -32,27 +32,6 @@ int main() {
   }
   std::cout << table.render();
 
-  std::cout << "\nshape checks (must hold):\n";
-  std::vector<double> byte_shares;
-  bool byte_over_peer = true;
-  for (const auto& result : results) {
-    const auto bias = aware::self_bias(result.observations);
-    byte_shares.push_back(bias.contributors_bytes_pct);
-    // PPLive's peer share is a scale artifact (the fixed 46-probe set
-    // against a 1/12-scale contributor population — EXPERIMENTS.md);
-    // the byte-over-peer property is meaningful for the two systems
-    // whose swarms are near scale.
-    if (result.observations.app != "PPLive" &&
-        bias.contributors_bytes_pct < bias.contributors_peer_pct) {
-      byte_over_peer = false;
-    }
-  }
-  const bool tvants_most = byte_shares[2] > byte_shares[1] &&
-                           byte_shares[1] > byte_shares[0];
-  std::cout << "  probes' byte share exceeds their peer share "
-               "(SopCast, TVAnts): "
-            << (byte_over_peer ? "yes" : "NO") << '\n';
-  std::cout << "  self-bias ordering TVAnts > SopCast > PPLive: "
-            << (tvants_most ? "yes" : "NO") << '\n';
-  return 0;
+  return judge_claims(aware::paper_claims(paper_runs(results), "T3"),
+                      cfg.seconds);
 }

@@ -1,6 +1,6 @@
 // Shared bench-harness plumbing: runs the three applications at the
-// default reproduction scale and provides the paper's published values
-// so every binary prints paper-vs-measured rows.
+// default reproduction scale; the paper's published values and shape
+// claims come from aware/paper.hpp.
 #pragma once
 
 #include <algorithm>
@@ -8,9 +8,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -19,6 +21,7 @@
 #include <sys/resource.h>
 
 #include "aware/export.hpp"
+#include "aware/paper.hpp"
 #include "aware/report.hpp"
 #include "exp/runner.hpp"
 #include "net/topology.hpp"
@@ -198,79 +201,10 @@ inline std::string fmt_opt(const std::optional<double>& v,
   return v ? fmt(*v, precision) : "-";
 }
 
-// ----------------------------------------------------------------------
-// Published values (the paper's tables), for side-by-side comparison.
-
-/// Table II row.
-struct PaperSummary {
-  const char* app;
-  double rx_mean, rx_max, tx_mean, tx_max;
-  double peers_mean, peers_max;
-  double contrib_rx_mean, contrib_rx_max;
-  double contrib_tx_mean, contrib_tx_max;
-  double observed_total;
-};
-
-inline constexpr PaperSummary kPaperTable2[] = {
-    {"PPLive", 552, 934, 3384, 11818, 23101, 39797, 391, 841, 1025, 2570,
-     181729},
-    {"SopCast", 449, 542, 293, 1070, 776, 1233, 139, 229, 152, 243, 4057},
-    {"TVAnts", 419, 478, 464, 1001, 229, 270, 58, 90, 75, 118, 550},
-};
-
-/// Table III row.
-struct PaperSelfBias {
-  const char* app;
-  double contrib_peer_pct, contrib_bytes_pct;
-  double all_peer_pct, all_bytes_pct;
-};
-
-inline constexpr PaperSelfBias kPaperTable3[] = {
-    {"PPLive", 0.95, 3.54, 0.10, 3.33},
-    {"SopCast", 10.25, 17.71, 4.60, 19.45},
-    {"TVAnts", 29.82, 56.31, 15.56, 56.06},
-};
-
-/// Table IV cell: {B'D, P'D, BD, PD, B'U, P'U, BU, PU}; negative means
-/// the paper prints "-".
-struct PaperAwareness {
-  const char* metric;
-  const char* app;
-  double bpd, ppd, bd, pd;
-  double bpu, ppu, bu, pu;
-};
-
-inline constexpr double kDash = -1.0;
-
-inline constexpr PaperAwareness kPaperTable4[] = {
-    {"BW", "PPLive", 95.9, 85.9, 95.6, 86.1, kDash, kDash, kDash, kDash},
-    {"BW", "SopCast", 98.2, 83.3, 98.5, 85.3, kDash, kDash, kDash, kDash},
-    {"BW", "TVAnts", 96.5, 83.2, 98.2, 89.6, kDash, kDash, kDash, kDash},
-    {"AS", "PPLive", 6.5, 0.6, 12.8, 1.3, 0.8, 0.2, 1.8, 0.5},
-    {"AS", "SopCast", 0.6, 0.7, 3.5, 3.9, 1.7, 0.7, 6.4, 3.9},
-    {"AS", "TVAnts", 7.3, 3.3, 32.0, 13.5, 11.6, 1.8, 30.1, 9.6},
-    {"CC", "PPLive", 6.5, 0.6, 13.1, 1.4, 1.1, 0.3, 2.1, 0.6},
-    {"CC", "SopCast", 0.6, 0.8, 4.0, 4.4, 1.7, 0.8, 7.2, 4.4},
-    {"CC", "TVAnts", 7.6, 4.0, 37.9, 16.3, 14.3, 3.1, 37.7, 12.5},
-    {"NET", "PPLive", kDash, kDash, 9.9, 0.8, kDash, kDash, 1.4, 0.3},
-    {"NET", "SopCast", kDash, kDash, 2.0, 2.6, kDash, kDash, 3.5, 2.6},
-    {"NET", "TVAnts", kDash, kDash, 18.1, 6.7, kDash, kDash, 18.1, 5.4},
-    {"HOP", "PPLive", 42.2, 41.1, 51.4, 42.4, 30.4, 40.4, 31.7, 41.0},
-    {"HOP", "SopCast", 29.0, 40.7, 37.9, 48.0, 45.9, 43.0, 56.9, 49.8},
-    {"HOP", "TVAnts", 62.1, 55.0, 81.1, 71.9, 57.8, 53.0, 78.9, 67.2},
-};
-
-/// Figure 2 intra/inter-AS traffic ratios reported in §IV-B.
-struct PaperAsRatio {
-  const char* app;
-  double ratio;
-};
-
-inline constexpr PaperAsRatio kPaperFig2Ratios[] = {
-    {"SopCast", 0.2},
-    {"TVAnts", 1.93},
-    {"PPLive", 0.98},
-};
+/// perfbench/verify.cpp still names this table through the bench
+/// namespace; the benchmark change that moves perfbench onto
+/// aware/paper.hpp removes this declaration.
+using aware::kPaperTable4;
 
 inline std::string paper_cell(double v, int precision = 1) {
   return v < 0 ? "-" : fmt(v, precision);
@@ -281,9 +215,11 @@ inline std::string paper_cell(double v, int precision = 1) {
 /// background population is set to the paper's full observed-peer
 /// count (Table II's "observed total" column) — no count scaling;
 /// the calendar-queue engine + SoA peer state carry the 181,729-peer
-/// PPLive swarm directly.
+/// PPLive swarm directly. `customize`, when given, adjusts each spec
+/// (impairment, churn, discovery) before the runs start.
 inline std::vector<exp::RunResult> run_three_apps(
-    const net::AsTopology& topo, const BenchConfig& cfg) {
+    const net::AsTopology& topo, const BenchConfig& cfg,
+    const std::function<void(exp::RunSpec&)>& customize = {}) {
   std::vector<exp::RunSpec> specs;
   for (auto profile :
        {p2p::SystemProfile::pplive(), p2p::SystemProfile::sopcast(),
@@ -291,7 +227,7 @@ inline std::vector<exp::RunResult> run_three_apps(
     exp::RunSpec spec;
     spec.profile = std::move(profile);
     if (cfg.full_scale) {
-      for (const PaperSummary& row : kPaperTable2) {
+      for (const aware::PaperSummary& row : aware::kPaperTable2) {
         if (spec.profile.name == row.app) {
           spec.profile.population.background_peers =
               static_cast<std::size_t>(row.observed_total);
@@ -300,10 +236,30 @@ inline std::vector<exp::RunResult> run_three_apps(
     }
     spec.seed = cfg.seed;
     spec.duration = util::SimTime::seconds(cfg.seconds);
+    if (customize) customize(spec);
     specs.push_back(std::move(spec));
   }
   util::ThreadPool pool;
   return exp::run_experiments(topo, specs, pool);
+}
+
+/// The oracle's view of run_three_apps' results, plus the
+/// PPLive-Popular panel when a fourth run follows them.
+inline aware::PaperRuns paper_runs(const std::vector<exp::RunResult>& results) {
+  aware::PaperRuns runs;
+  runs.pplive = &results.at(0).observations;
+  runs.sopcast = &results.at(1).observations;
+  runs.tvants = &results.at(2).observations;
+  if (results.size() > 3) runs.popular = &results[3].observations;
+  return runs;
+}
+
+/// Prints `claims` under the bench's "shape claims" heading and returns
+/// the bench's exit code (aware::judge).
+inline int judge_claims(std::span<const aware::Claim> claims,
+                        std::int64_t simulated_seconds) {
+  std::cout << "\nshape claims:\n";
+  return aware::judge(claims, simulated_seconds, std::cout);
 }
 
 }  // namespace peerscope::bench

@@ -1,6 +1,7 @@
 #include "p2p/swarm.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
@@ -155,6 +156,29 @@ sim::GilbertElliott* Swarm::channel_for(PeerId sender, PeerId receiver) {
   const std::uint64_t key =
       (static_cast<std::uint64_t>(sender) << 32) | receiver;
   return &channels_[key];
+}
+
+void Swarm::expand_train(const sim::TrainSpec& spec, const PeerInfo& sender,
+                         const PeerInfo& receiver,
+                         const net::PathInfo& path) {
+  const auto wall_start = train_expand_ns_
+                              ? std::chrono::steady_clock::now()
+                              : std::chrono::steady_clock::time_point{};
+  sim::transmit_train(spec, sender.access, up_[sender.id], receiver.access,
+                      down_[receiver.id], path, rng_, train_,
+                      channel_for(sender.id, receiver.id));
+  ++train_tally_.trains;
+  train_tally_.packets += static_cast<std::uint64_t>(spec.packet_count);
+  train_tally_.lost += train_.lost;
+  train_tally_.outage_dropped += train_.outage_dropped;
+  train_tally_.reordered += train_.reordered;
+  train_tally_.duplicated += train_.duplicated;
+  if (train_expand_ns_) {
+    train_expand_ns_.observe(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - wall_start)
+            .count());
+  }
 }
 
 void Swarm::on_request_failed(ProbeState& ps, ChunkIndex chunk, PeerId from) {
@@ -772,9 +796,7 @@ void Swarm::request_chunk(ProbeState& ps, Partner& partner, ChunkIndex chunk) {
   spec.packet_bytes = stream.packet_bytes;
   spec.impairment = impairment_;
   spec.link_key = ps.id;  // outage schedule keyed on the receiver link
-  sim::transmit_train(spec, other.access, up_[partner.id], self.access,
-                      down_[ps.id], rev, rng_, train_,
-                      channel_for(partner.id, ps.id));
+  expand_train(spec, other, self, rev);
   const sim::TrainResult& train = train_;
 
   sink.video_train_rx(other.ep.addr, train.arrivals, stream.packet_bytes,
@@ -961,9 +983,7 @@ void Swarm::requester_loop(ProbeState& ps, std::shared_ptr<Requester> req) {
   spec.packet_bytes = stream.packet_bytes;
   spec.impairment = impairment_;
   spec.link_key = req->id;
-  sim::transmit_train(spec, self.access, up_[ps.id], other.access,
-                      down_[req->id], req->rev, rng_, train_,
-                      channel_for(ps.id, req->id));
+  expand_train(spec, self, other, req->rev);
   sink.video_train_tx(other.ep.addr, train_.departures, stream.packet_bytes);
   ++counters_.chunks_uploaded;
 }
@@ -1058,6 +1078,8 @@ void Swarm::run() {
   PEERSCOPE_SPAN("swarm_run");
   engine_.set_cancel(config_.cancel);
   engine_.set_progress(config_.progress);
+  train_expand_ns_ =
+      obs::histogram("sim.train_expand_ns", obs::timing_bounds(), true);
 
   // Arm the sim-time sampling grid only when someone is listening —
   // with neither a series recorder nor a progress sink the engine's
@@ -1173,6 +1195,15 @@ void Swarm::run() {
 
   // Publish the run's ground-truth counters once, after the event loop
   // drains — the protocol steps themselves stay metrics-free.
+  if (obs::enabled() && train_tally_.trains != 0) {
+    const TrainTally& t = train_tally_;
+    obs::counter("sim.trains_expanded").add(t.trains);
+    obs::counter("sim.packets_generated").add(t.packets);
+    obs::counter("sim.packets_lost").add(t.lost);
+    obs::counter("sim.packets_dropped_outage").add(t.outage_dropped);
+    obs::counter("sim.packets_reordered").add(t.reordered);
+    obs::counter("sim.packets_duplicated").add(t.duplicated);
+  }
   if (obs::enabled()) {
     obs::counter("p2p.swarms_run").add();
     obs::counter("p2p.chunks_delivered").add(counters_.chunks_delivered);

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "net/topology.hpp"
+#include "obs/metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "p2p/buffer.hpp"
 #include "p2p/churn.hpp"
@@ -249,6 +250,10 @@ class Swarm {
   void schedule_probe_crash(std::size_t probe_index);
   [[nodiscard]] sim::GilbertElliott* channel_for(PeerId sender,
                                                 PeerId receiver);
+  /// Expands one video train from `sender` to `receiver` over `path`
+  /// into train_ and adds it to train_tally_.
+  void expand_train(const sim::TrainSpec& spec, const PeerInfo& sender,
+                    const PeerInfo& receiver, const net::PathInfo& path);
 
   // --- time-series sampling (engine grid hook; armed only when a
   // series recorder or progress sink is installed) ---
@@ -318,6 +323,15 @@ class Swarm {
   std::unique_ptr<HostImpl> discovery_host_;
   std::unique_ptr<DiscoveryService> discovery_;
   Counters counters_;
+  /// The run's train and packet-fate sums, published once after the
+  /// event loop next to the p2p counters.
+  struct TrainTally {
+    std::uint64_t trains = 0, packets = 0, lost = 0, outage_dropped = 0,
+                  reordered = 0, duplicated = 0;
+  } train_tally_;
+  /// sim.train_expand_ns, resolved once per run; a null handle (and no
+  /// clock reads) when metrics are off.
+  obs::Histogram train_expand_ns_;
   /// Delta baselines for the sim-time sampling grid: the previous grid
   /// point's counters, plus the rejoin-latency samples already folded
   /// into per-interval histograms and the cumulative one whose p99

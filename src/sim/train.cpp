@@ -1,10 +1,7 @@
 #include "sim/train.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <stdexcept>
-
-#include "obs/metrics.hpp"
 
 namespace peerscope::sim {
 
@@ -17,12 +14,9 @@ void transmit_train(const TrainSpec& spec, const net::AccessLink& sender,
     throw std::invalid_argument("transmit_train: empty train");
   }
 
-  // Local tallies, published once per train: the per-packet loop stays
-  // free of shared writes even with metrics on.
-  const bool metrics = obs::enabled();
-  const auto wall_start = metrics ? std::chrono::steady_clock::now()
-                                  : std::chrono::steady_clock::time_point{};
-  std::uint64_t lost = 0, outage_dropped = 0, reordered = 0, duplicated = 0;
+  // Packet fates are tallied in `out`; the caller publishes the sums,
+  // so the per-packet loop stays free of shared writes.
+  out.lost = out.outage_dropped = out.reordered = out.duplicated = 0;
 
   const util::SimTime up_ser = sender.up_tx_time(spec.packet_bytes);
   const util::SimTime down_ser = receiver.down_tx_time(spec.packet_bytes);
@@ -55,7 +49,7 @@ void transmit_train(const TrainSpec& spec, const net::AccessLink& sender,
     out.departures.push_back(departed);
 
     if (imp.has_loss() && ge.lose(imp, rng)) {
-      ++lost;
+      ++out.lost;
       continue;  // dropped in flight: no arrival, no receiver work
     }
 
@@ -66,7 +60,7 @@ void transmit_train(const TrainSpec& spec, const net::AccessLink& sender,
 
     // Transient outage: the receiver link is down, the packet is gone.
     if (imp.has_outage() && in_outage(imp, spec.link_key, reached)) {
-      ++outage_dropped;
+      ++out.outage_dropped;
       continue;
     }
 
@@ -81,7 +75,7 @@ void transmit_train(const TrainSpec& spec, const net::AccessLink& sender,
       // Capture-side reordering: the sniffer stamps this packet late,
       // landing it among later arrivals. Link occupancy is unchanged —
       // only the recorded timestamp moves.
-      ++reordered;
+      ++out.reordered;
       artifacts.push_back(arrival +
                           util::SimTime::nanos(static_cast<std::int64_t>(
                               rng.uniform01() *
@@ -92,7 +86,7 @@ void transmit_train(const TrainSpec& spec, const net::AccessLink& sender,
     if (imp.duplicate_rate > 0.0 && rng.chance(imp.duplicate_rate)) {
       // Capture duplication: the same packet recorded twice a few
       // microseconds apart — fabricates a near-zero inter-packet gap.
-      ++duplicated;
+      ++out.duplicated;
       artifacts.push_back(arrival +
                           util::SimTime::nanos(1'000 + static_cast<std::int64_t>(
                                                            rng.uniform01() *
@@ -105,19 +99,6 @@ void transmit_train(const TrainSpec& spec, const net::AccessLink& sender,
     std::sort(out.arrivals.begin(), out.arrivals.end());
   }
   out.sender_done = release;
-  if (metrics) {
-    obs::counter("sim.trains_expanded").add();
-    obs::counter("sim.packets_generated")
-        .add(static_cast<std::uint64_t>(spec.packet_count));
-    obs::counter("sim.packets_lost").add(lost);
-    obs::counter("sim.packets_dropped_outage").add(outage_dropped);
-    obs::counter("sim.packets_reordered").add(reordered);
-    obs::counter("sim.packets_duplicated").add(duplicated);
-    obs::histogram("sim.train_expand_ns", obs::timing_bounds(), true)
-        .observe(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                     std::chrono::steady_clock::now() - wall_start)
-                     .count());
-  }
 }
 
 }  // namespace peerscope::sim

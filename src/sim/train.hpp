@@ -53,6 +53,13 @@ struct TrainResult {
   /// Scratch: capture artifacts (reordered/duplicated records) before
   /// they are merged into `arrivals`.
   std::vector<util::SimTime> artifacts;
+  /// Packet fates of this train, for the caller to tally: dropped in
+  /// flight by loss, dropped by a receiver-link outage, recorded late
+  /// by capture reordering, recorded twice by capture duplication.
+  std::uint64_t lost = 0;
+  std::uint64_t outage_dropped = 0;
+  std::uint64_t reordered = 0;
+  std::uint64_t duplicated = 0;
   /// When the last packet was fully received (== arrivals.back()).
   [[nodiscard]] util::SimTime completed() const {
     return arrivals.empty() ? util::SimTime::zero() : arrivals.back();

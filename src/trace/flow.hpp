@@ -10,6 +10,11 @@
 //     (memory stays O(#peers), used by the large benches);
 //   - offline, from a stored/loaded record vector sorted by time
 //     (the faithful "analyse the pcap" path, used by examples/tests).
+// Under capture reordering the two agree on packet and byte counts
+// only: a late-stamped packet can land after the next train's first
+// arrivals, which the online path sees as one negative gap and the
+// time-sorted rebuild as two interleaved positive ones, so
+// rx_ipg_samples and smallest_rx_ipgs can differ.
 #pragma once
 
 #include <array>
@@ -107,7 +112,8 @@ class FlowTable {
 
   /// Online update with one record. Records for the same remote must
   /// arrive in non-decreasing timestamp order for the IPG tracking to
-  /// match the offline path (the simulator guarantees this per remote).
+  /// match the offline path (the simulator guarantees this per remote
+  /// unless capture reordering is on).
   void add(const PacketRecord& record);
 
   /// Online update with one video train to or from `remote`: one record

@@ -36,10 +36,10 @@ constexpr std::string_view kTraceRegistryPath = "src/obs/trace_names.def";
 constexpr std::string_view kSchemaRegistryPath =
     "src/obs/schema_versions.def";
 // Optional exit-code registry (`<value> <name>` per line): when the
-// file exists, every kExit* constant in tools/ must be pinned there
-// and every entry must name a live constant. Absent file = sub-check
-// skipped, so miniature fixture roots without one keep the original
-// uniqueness + README semantics.
+// file exists, every kExit* constant in tools/ or src/ must be pinned
+// there and every entry must name a live constant. Absent file =
+// sub-check skipped, so miniature fixture roots without one keep the
+// original uniqueness + README semantics.
 constexpr std::string_view kExitCodeRegistryPath = "tools/exit_codes.def";
 // Optional layer DAG (`<layer>: <dep> <dep>...` per line): when the
 // file exists, every `#include "<layer>/..."` in src/ must point at a
@@ -1141,9 +1141,10 @@ class Linter {
     }
   }
 
-  // (4) exit-code-uniqueness: kExit* constants in tools/ must be
-  // pairwise distinct and every value must appear (backticked) in the
-  // README exit-code documentation.
+  // (4) exit-code-uniqueness: kExit* constants in tools/ and src/ (the
+  // claim oracle's code lives in src/aware) must be pairwise distinct
+  // and every value must appear (backticked) in the README exit-code
+  // documentation.
   void check_exit_codes() {
     if (!enabled(kRuleExitCodes)) return;
     struct ExitCode {
@@ -1156,7 +1157,10 @@ class Linter {
         R"(constexpr\s+int\s+(kExit\w*)\s*=\s*([0-9]+)\s*;)"};
     std::vector<ExitCode> codes;
     for (const auto& file : files_) {
-      if (file->rel.rfind("tools/", 0) != 0) continue;
+      if (file->rel.rfind("tools/", 0) != 0 &&
+          file->rel.rfind("src/", 0) != 0) {
+        continue;
+      }
       const std::string& text = file->no_comment;
       for (auto it = std::cregex_iterator{text.data(),
                                           text.data() + text.size(), re};
@@ -1246,8 +1250,8 @@ class Linter {
       result_.findings.push_back(
           {registry_path, entry.line, std::string{kRuleExitCodes},
            "exit code \"" + entry.name +
-               "\" is registered but no tools/ constant defines it; "
-               "delete the entry or restore the constant",
+               "\" is registered but no tools/ constant (nor a src/ one) "
+               "defines it; delete the entry or restore the constant",
            fingerprint(kRuleExitCodes, rel_of(registry_path),
                        entry.name)});
     }
@@ -1317,8 +1321,8 @@ std::string_view rule_description(std::string_view rule) {
            "src/obs/schema_versions.def exactly";
   }
   if (rule == kRuleExitCodes) {
-    return "kExit* constants in tools/ stay unique, README-documented, "
-           "and pinned in tools/exit_codes.def";
+    return "kExit* constants in tools/ and src/ stay unique, "
+           "README-documented, and pinned in tools/exit_codes.def";
   }
   if (rule == kRuleHeaderHygiene) {
     return "headers carry #pragma once and never using-namespace";

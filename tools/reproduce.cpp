@@ -3,15 +3,16 @@
 #include <iostream>
 #include <sstream>
 
-#include "bench/harness.hpp"
+#include "aware/paper.hpp"
 #include "exp/supervisor.hpp"
+#include "net/topology.hpp"
 #include "util/atomic_file.hpp"
+#include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace peerscope::tools {
 
 namespace {
-
-using namespace peerscope::bench;
 
 std::string md(double v, int precision = 1) {
   return util::TextTable::num(v, precision);
@@ -37,9 +38,6 @@ std::string missing_cells(int cells) {
 
 int reproduce(const ReproduceOptions& options) {
   const net::AsTopology topo = net::make_reference_topology();
-  BenchConfig cfg;
-  cfg.seconds = options.seconds;
-  cfg.seed = options.seed;
 
   // Specs [0..2] are the paper's three applications (report row order),
   // [3] the PPLive-Popular panel for Figure 2.
@@ -49,8 +47,8 @@ int reproduce(const ReproduceOptions& options) {
         p2p::SystemProfile::tvants(), p2p::SystemProfile::pplive_popular()}) {
     exp::RunSpec spec;
     spec.profile = std::move(profile);
-    spec.seed = cfg.seed;
-    spec.duration = util::SimTime::seconds(cfg.seconds);
+    spec.seed = options.seed;
+    spec.duration = util::SimTime::seconds(options.seconds);
     specs.push_back(std::move(spec));
   }
 
@@ -63,7 +61,7 @@ int reproduce(const ReproduceOptions& options) {
 
   std::cerr << "reproduce: running PPLive, SopCast, TVAnts, "
                "PPLive-Popular ("
-            << cfg.seconds << " s each, seed " << cfg.seed
+            << options.seconds << " s each, seed " << options.seed
             << (options.resume ? ", resuming" : "") << ")...\n";
   util::ThreadPool pool;
   const auto outcome = supervise_runs(topo, specs, pool, supervision);
@@ -90,8 +88,8 @@ int reproduce(const ReproduceOptions& options) {
   out << "# PeerScope reproduction report\n\n"
       << "Paper: *Network Awareness of P2P Live Streaming Applications* "
          "(IPDPS 2009).\n"
-      << "Configuration: " << cfg.seconds << " simulated seconds, seed "
-      << cfg.seed << ", Table I testbed, reference topology. Counts are "
+      << "Configuration: " << options.seconds << " simulated seconds, seed "
+      << options.seed << ", Table I testbed, reference topology. Counts are "
       << "scaled (see DESIGN.md §6); percentages and ratios compare "
       << "directly.\n";
 
@@ -113,7 +111,7 @@ int reproduce(const ReproduceOptions& options) {
          "(mean/max) | contrib RX | contrib TX | observed |\n"
       << "|---|---|---|---|---|---|---|---|\n";
   for (std::size_t i = 0; i < 3; ++i) {
-    const auto& paper = kPaperTable2[i];
+    const auto& paper = aware::kPaperTable2[i];
     out << "| " << paper.app << " | paper | " << md(paper.rx_mean, 0) << " / "
         << md(paper.rx_max, 0) << " | " << md(paper.tx_mean, 0) << " / "
         << md(paper.tx_max, 0) << " | " << md(paper.peers_mean, 0) << " / "
@@ -138,7 +136,7 @@ int reproduce(const ReproduceOptions& options) {
       << "| App | src | contrib peer % | contrib bytes % | all peer % | "
          "all bytes % |\n|---|---|---|---|---|---|\n";
   for (std::size_t i = 0; i < 3; ++i) {
-    const auto& paper = kPaperTable3[i];
+    const auto& paper = aware::kPaperTable3[i];
     out << "| " << paper.app << " | paper | " << md(paper.contrib_peer_pct, 2)
         << " | " << md(paper.contrib_bytes_pct, 2) << " | "
         << md(paper.all_peer_pct, 2) << " | " << md(paper.all_bytes_pct, 2)
@@ -167,8 +165,8 @@ int reproduce(const ReproduceOptions& options) {
       tables.emplace_back(std::nullopt);
     }
   }
-  for (std::size_t entry = 0; entry < std::size(kPaperTable4); ++entry) {
-    const auto& paper = kPaperTable4[entry];
+  for (std::size_t entry = 0; entry < std::size(aware::kPaperTable4); ++entry) {
+    const auto& paper = aware::kPaperTable4[entry];
     out << "| " << paper.metric << " | " << paper.app << " | paper | "
         << md_paper(paper.bpd) << " | " << md_paper(paper.ppd) << " | "
         << md_paper(paper.bd) << " | " << md_paper(paper.pd) << " | "
@@ -213,17 +211,22 @@ int reproduce(const ReproduceOptions& options) {
          "the raw diagonal dominance.\n\n"
       << "| App | paper R | ours R | ours incl. LAN pairs |\n"
       << "|---|---|---|---|\n";
-  const char* fig2_apps[] = {"PPLive", "SopCast", "TVAnts"};
-  const double fig2_paper[] = {0.98, 0.2, 1.93};
+  const auto paper_ratio = [](const std::string& app) {
+    for (const auto& paper : aware::kPaperFig2Ratios) {
+      if (app == paper.app) return paper.ratio;
+    }
+    return aware::kDash;
+  };
   for (std::size_t i = 0; i < 3; ++i) {
+    const double paper_r = paper_ratio(app_name(i));
     if (!main_runs[i].ok()) {
-      out << "| " << fig2_apps[i] << " | " << md(fig2_paper[i], 2) << " |"
+      out << "| " << app_name(i) << " | " << md(paper_r, 2) << " |"
           << missing_cells(2) << '\n';
       continue;
     }
     const auto matrix =
         aware::as_traffic_matrix(main_runs[i].result->observations);
-    out << "| " << fig2_apps[i] << " | " << md(fig2_paper[i], 2) << " | "
+    out << "| " << app_name(i) << " | " << md(paper_r, 2) << " | "
         << md(matrix.intra_inter_ratio, 2) << " | "
         << md(matrix.intra_inter_ratio_with_lan, 2) << " |\n";
   }
@@ -238,6 +241,28 @@ int reproduce(const ReproduceOptions& options) {
         << '\n';
   }
 
+  // --------------------------------------------------------- claims
+  const auto observations = [](const exp::RunStatus& run) {
+    return run.ok() ? &run.result->observations : nullptr;
+  };
+  aware::PaperRuns runs;
+  runs.pplive = observations(main_runs[0]);
+  runs.sopcast = observations(main_runs[1]);
+  runs.tvants = observations(main_runs[2]);
+  runs.popular = observations(popular_run);
+  out << "\n## Shape claims\n\n"
+      << "The conclusions the paper draws from the tables and figures "
+         "above, judged on these runs (src/aware/paper.cpp). A claim "
+         "below its minimum duration (EXPERIMENTS.md) is not judged; a "
+         "broken one makes `reproduce` exit "
+      << aware::kExitClaimBroken << ".\n\n";
+  const int claims_code =
+      aware::judge(aware::paper_claims(runs), options.seconds, out);
+  if (claims_code != 0) {
+    std::cerr << "reproduce: a shape claim is BROKEN (see the report's "
+                 "Shape claims section)\n";
+  }
+
   out << "\n---\nGenerated by `peerscope reproduce`. Every number above is "
          "deterministic for the given seed.\n";
 
@@ -249,7 +274,7 @@ int reproduce(const ReproduceOptions& options) {
     return 1;
   }
   std::cerr << "reproduce: wrote " << options.output << '\n';
-  return outcome.complete() ? 0 : kExitPartialSuccess;
+  return outcome.complete() ? claims_code : kExitPartialSuccess;
 }
 
 }  // namespace peerscope::tools

@@ -1,6 +1,7 @@
 // `peerscope reproduce`: one command that reruns every experiment and
 // writes a self-contained markdown report with paper-vs-measured rows
-// for all tables and figures — the repository's headline artifact.
+// for all tables and figures, and the paper's shape claims judged on
+// them (aware/paper.hpp) — the repository's headline artifact.
 //
 // Runs are supervised (exp/supervisor.hpp): a failing or timed-out
 // application no longer aborts the whole reproduction — the report
@@ -32,8 +33,10 @@ struct ReproduceOptions {
   bool resume = false;
 };
 
-/// Returns the process exit code: 0 all runs ok, kExitPartialSuccess
-/// when only some applications produced results, 1 when none did.
+/// Returns the process exit code: 0 all runs ok and no judged shape
+/// claim broken, aware::kExitClaimBroken when one is broken,
+/// kExitPartialSuccess when only some applications produced results
+/// (in preference to the claim code), 1 when none did.
 int reproduce(const ReproduceOptions& options);
 
 }  // namespace peerscope::tools
