@@ -21,8 +21,11 @@ int main() {
 
   const auto results = run_three_apps(topo, cfg);
 
-  for (const auto& result : results) {
-    const auto shares = aware::geo_breakdown(result.observations);
+  std::vector<aware::RunProducts> products(results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& result = results[i];
+    const auto& shares =
+        products[i].geo.emplace(aware::geo_breakdown(result.observations));
     if (cfg.outdir) {
       aware::write_geo_csv(
           *cfg.outdir / ("fig1_" + result.observations.app + ".csv"),
@@ -38,6 +41,6 @@ int main() {
     std::cout << table.render() << '\n';
   }
 
-  return judge_claims(aware::paper_claims(paper_runs(results), "Fig1"),
+  return judge_claims(aware::paper_claims(paper_runs(products), "Fig1"),
                       cfg.seconds);
 }

@@ -13,9 +13,8 @@ using namespace peerscope::bench;
 
 namespace {
 
-void print_matrix(const aware::ExperimentObservations& data) {
-  const aware::AsMatrix matrix = aware::as_traffic_matrix(data);
-  std::vector<std::string> header{data.app + " [kB]"};
+void print_matrix(const std::string& app, const aware::AsMatrix& matrix) {
+  std::vector<std::string> header{app + " [kB]"};
   for (const auto as : matrix.ases) header.push_back("to " + as.to_string());
   util::TextTable table{header};
   for (std::size_t i = 0; i < matrix.ases.size(); ++i) {
@@ -51,13 +50,15 @@ int main() {
   popular.duration = util::SimTime::seconds(cfg.seconds);
   results.push_back(exp::run_experiment(topo, popular));
 
-  for (const auto& result : results) {
-    print_matrix(result.observations);
+  std::vector<aware::RunProducts> products(results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const std::string& app = results[i].observations.app;
+    const auto& matrix = products[i].as_matrix.emplace(
+        aware::as_traffic_matrix(results[i].observations));
+    print_matrix(app, matrix);
     if (cfg.outdir) {
-      aware::write_matrix_csv(
-          *cfg.outdir / ("fig2_" + result.observations.app + ".csv"),
-          result.observations.app,
-          aware::as_traffic_matrix(result.observations));
+      aware::write_matrix_csv(*cfg.outdir / ("fig2_" + app + ".csv"), app,
+                              matrix);
     }
   }
 
@@ -66,6 +67,6 @@ int main() {
     std::cout << paper.app << " R=" << fmt(paper.ratio, 2) << "  ";
   }
   std::cout << '\n';
-  return judge_claims(aware::paper_claims(paper_runs(results), "Fig2"),
+  return judge_claims(aware::paper_claims(paper_runs(products), "Fig2"),
                       cfg.seconds);
 }

@@ -22,10 +22,11 @@ int main() {
   util::TextTable table{{"App", "src", "RX kbps mean", "RX max", "TX kbps mean",
                          "TX max", "peers mean", "peers max", "cRX mean",
                          "cRX max", "cTX mean", "cTX max", "observed"}};
+  std::vector<aware::RunProducts> products(results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& paper = aware::kPaperTable2[i];
-    const aware::ExperimentSummary s =
-        aware::summarize(results[i].observations);
+    const aware::ExperimentSummary& s =
+        products[i].summary.emplace(aware::summarize(results[i].observations));
     if (cfg.outdir) {
       aware::write_summary_csv(
           *cfg.outdir / ("table2_" + results[i].observations.app + ".csv"),
@@ -51,6 +52,6 @@ int main() {
   }
   std::cout << table.render();
 
-  return judge_claims(aware::paper_claims(paper_runs(results), "T2"),
+  return judge_claims(aware::paper_claims(paper_runs(products), "T2"),
                       cfg.seconds);
 }

@@ -18,9 +18,11 @@ int main() {
 
   util::TextTable table{{"App", "src", "contrib Peer%", "contrib Bytes%",
                          "all Peer%", "all Bytes%"}};
+  std::vector<aware::RunProducts> products(results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     const auto& paper = aware::kPaperTable3[i];
-    const aware::SelfBias bias = aware::self_bias(results[i].observations);
+    const aware::SelfBias& bias =
+        products[i].bias.emplace(aware::self_bias(results[i].observations));
     table.add_row({paper.app, "paper", fmt(paper.contrib_peer_pct, 2),
                    fmt(paper.contrib_bytes_pct, 2), fmt(paper.all_peer_pct, 2),
                    fmt(paper.all_bytes_pct, 2)});
@@ -32,6 +34,6 @@ int main() {
   }
   std::cout << table.render();
 
-  return judge_claims(aware::paper_claims(paper_runs(results), "T3"),
+  return judge_claims(aware::paper_claims(paper_runs(products), "T3"),
                       cfg.seconds);
 }

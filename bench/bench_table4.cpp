@@ -38,14 +38,14 @@ int main() {
                "byte-wise (B) bias ===\n\n";
 
   const auto results = run_three_apps(topo, cfg);
-  std::vector<std::vector<aware::AwarenessRow>> tables;
-  tables.reserve(results.size());
-  for (const auto& result : results) {
-    tables.push_back(aware::awareness_table(result.observations));
+  std::vector<aware::RunProducts> products(results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const auto& rows = products[i].awareness.emplace(
+        aware::awareness_table(results[i].observations));
     if (cfg.outdir) {
       aware::write_awareness_csv(
-          *cfg.outdir / ("table4_" + result.observations.app + ".csv"),
-          result.observations.app, tables.back());
+          *cfg.outdir / ("table4_" + results[i].observations.app + ".csv"),
+          results[i].observations.app, rows);
     }
   }
 
@@ -58,10 +58,10 @@ int main() {
     const std::size_t metric_index = entry / 3;
     const std::size_t app_index = entry % 3;
     add_rows(table, aware::kPaperTable4[entry],
-             tables[app_index][metric_index]);
+             (*products[app_index].awareness)[metric_index]);
     if (app_index == 2) table.add_rule();
   }
   std::cout << table.render();
-  return judge_claims(aware::paper_claims(paper_runs(results), "T4"),
+  return judge_claims(aware::paper_claims(paper_runs(products), "T4"),
                       cfg.seconds);
 }

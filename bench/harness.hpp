@@ -243,14 +243,16 @@ inline std::vector<exp::RunResult> run_three_apps(
   return exp::run_experiments(topo, specs, pool);
 }
 
-/// The oracle's view of run_three_apps' results, plus the
-/// PPLive-Popular panel when a fourth run follows them.
-inline aware::PaperRuns paper_runs(const std::vector<exp::RunResult>& results) {
+/// The oracle's view of the products a bench rendered for
+/// run_three_apps' results, plus the PPLive-Popular panel when a fourth
+/// run follows them.
+inline aware::PaperRuns paper_runs(
+    const std::vector<aware::RunProducts>& products) {
   aware::PaperRuns runs;
-  runs.pplive = &results.at(0).observations;
-  runs.sopcast = &results.at(1).observations;
-  runs.tvants = &results.at(2).observations;
-  if (results.size() > 3) runs.popular = &results[3].observations;
+  runs.pplive = &products.at(0);
+  runs.sopcast = &products.at(1);
+  runs.tvants = &products.at(2);
+  if (products.size() > 3) runs.popular = &products[3];
   return runs;
 }
 

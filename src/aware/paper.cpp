@@ -24,15 +24,25 @@ void add(std::vector<Claim>& out, bool present, Claim claim) {
   out.push_back(std::move(claim));
 }
 
-/// `product` of the PPLive, SopCast and TVAnts runs; a default value
-/// stands in for a missing run, whose claims add() leaves unjudged.
-template <class F>
-auto per_app(const PaperRuns& runs, F product) {
-  std::array<decltype(product(ExperimentObservations{})), 3> out{};
-  const ExperimentObservations* data[] = {runs.pplive, runs.sopcast,
-                                          runs.tvants};
+/// One product of the PPLive, SopCast and TVAnts runs and whether each
+/// is there; a default value stands in for a missing one, whose claims
+/// add() leaves unjudged.
+template <class T>
+struct PerApp {
+  std::array<T, 3> value{};
+  std::array<bool, 3> have{};
+};
+
+template <class T>
+PerApp<T> per_app(const PaperRuns& runs,
+                  std::optional<T> RunProducts::*product) {
+  PerApp<T> out;
+  const RunProducts* data[] = {runs.pplive, runs.sopcast, runs.tvants};
   for (std::size_t i = 0; i < 3; ++i) {
-    if (data[i] != nullptr) out[i] = product(*data[i]);
+    if (data[i] != nullptr && data[i]->*product) {
+      out.value[i] = *(data[i]->*product);
+      out.have[i] = true;
+    }
   }
   return out;
 }
@@ -77,17 +87,14 @@ std::vector<Claim> paper_claims(const PaperRuns& runs,
   // The minimum durations are measured at seed 42; EXPERIMENTS.md,
   // "Shape claims", says why each claim needs its duration.
   const char* names[] = {"PPLive", "SopCast", "TVAnts"};
-  const bool have[] = {runs.pplive != nullptr, runs.sopcast != nullptr,
-                       runs.tvants != nullptr};
-  const bool all3 = have[0] && have[1] && have[2];
   const auto about = [&](std::string_view a) {
     return artifact.empty() || artifact == a;
   };
   std::vector<Claim> out;
 
   if (about("T2")) {
-    const auto s = per_app(runs, [](const auto& d) { return summarize(d); });
-    add(out, all3,
+    const auto [s, have] = per_app(runs, &RunProducts::summary);
+    add(out, have[0] && have[1] && have[2],
         descending("T2 peers(PPLive) > peers(SopCast) > peers(TVAnts)", 30,
                    {{"PPLive", s[0].all_peers_mean},
                     {"SopCast", s[1].all_peers_mean},
@@ -99,8 +106,8 @@ std::vector<Claim> paper_claims(const PaperRuns& runs,
   }
 
   if (about("T3")) {
-    const auto b = per_app(runs, [](const auto& d) { return self_bias(d); });
-    add(out, all3,
+    const auto [b, have] = per_app(runs, &RunProducts::bias);
+    add(out, have[0] && have[1] && have[2],
         descending("T3 self-bias ordering TVAnts > SopCast > PPLive", 60,
                    {{"TVAnts", b[2].contributors_bytes_pct},
                     {"SopCast", b[1].contributors_bytes_pct},
@@ -118,16 +125,13 @@ std::vector<Claim> paper_claims(const PaperRuns& runs,
   }
 
   if (about("T4")) {
-    // Download cells, indexed by Metric (BW AS CC NET HOP).
-    const auto t = per_app(runs, [](const auto& d) {
-      std::array<AwarenessCell, 5> cells;
-      for (const AwarenessRow& row : awareness_table(d)) {
-        cells[static_cast<std::size_t>(row.metric)] = row.download;
-      }
-      return cells;
-    });
+    const auto [t, have] = per_app(runs, &RunProducts::awareness);
+    // The download cell of `metric`; empty when the run is missing.
     const auto cell = [&](std::size_t i, Metric metric) {
-      return t[i][static_cast<std::size_t>(metric)];
+      for (const AwarenessRow& row : t[i]) {
+        if (row.metric == metric) return row.download;
+      }
+      return AwarenessCell{};
     };
     for (std::size_t i = 0; i < 3; ++i) {
       add(out, have[i],
@@ -162,13 +166,12 @@ std::vector<Claim> paper_claims(const PaperRuns& runs,
   }
 
   if (about("Fig1")) {
-    const auto g = per_app(runs, [](const auto& d) {
-      std::array<GeoShare, 6> shares;  // CN HU IT FR PL *
-      const std::vector<GeoShare> all = geo_breakdown(d);
-      std::copy_n(all.begin(), std::min(all.size(), shares.size()),
-                  shares.begin());
-      return shares;
-    });
+    const auto [geo, have] = per_app(runs, &RunProducts::geo);
+    std::array<std::array<GeoShare, 6>, 3> g{};  // CN HU IT FR PL *
+    for (std::size_t i = 0; i < 3; ++i) {
+      std::copy_n(geo[i].begin(), std::min(geo[i].size(), g[i].size()),
+                  g[i].begin());
+    }
     for (std::size_t i = 0; i < 3; ++i) {
       double next = 0;
       for (std::size_t k = 1; k < g[i].size(); ++k) {
@@ -194,10 +197,11 @@ std::vector<Claim> paper_claims(const PaperRuns& runs,
   }
 
   if (about("Fig2")) {
-    const auto m =
-        per_app(runs, [](const auto& d) { return as_traffic_matrix(d); });
+    const auto [m, have] = per_app(runs, &RunProducts::as_matrix);
+    const bool have_popular =
+        runs.popular != nullptr && runs.popular->as_matrix.has_value();
     const AsMatrix popular =
-        runs.popular ? as_traffic_matrix(*runs.popular) : AsMatrix{};
+        have_popular ? *runs.popular->as_matrix : AsMatrix{};
     add(out, have[2],
         descending("Fig2 R(TVAnts) > 1.5", 30,
                    {{"R", m[2].intra_inter_ratio}, {"bound", 1.5}}));
@@ -213,7 +217,7 @@ std::vector<Claim> paper_claims(const PaperRuns& runs,
         descending("Fig2 PPLive with-LAN ratio > 3x subnet-excluded R", 30,
                    {{"with-LAN", m[0].intra_inter_ratio_with_lan},
                     {"3x R", 3 * m[0].intra_inter_ratio}}));
-    add(out, runs.popular != nullptr && have[0],
+    add(out, have_popular && have[0],
         descending("Fig2 PPLive-Popular with-LAN ratio > PPLive's", 30,
                    {{"PPLive-Popular", popular.intra_inter_ratio_with_lan},
                     {"PPLive", m[0].intra_inter_ratio_with_lan}}));

@@ -140,18 +140,31 @@ int judge(std::span<const Claim> claims, std::int64_t simulated_seconds,
                                   std::int64_t min_seconds, double r_pplive,
                                   double r_sopcast, double r_tvants);
 
+/// What one run's tables and figures print, and so what the claims
+/// about them read. Whoever renders a table fills its product and hands
+/// the same value to paper_claims, so judging recomputes nothing (and
+/// counts nothing twice in the aware.* metrics).
+struct RunProducts {
+  std::optional<ExperimentSummary> summary;            // Table II
+  std::optional<SelfBias> bias;                        // Table III
+  std::optional<std::vector<AwarenessRow>> awareness;  // Table IV
+  std::optional<std::vector<GeoShare>> geo;            // Figure 1
+  std::optional<AsMatrix> as_matrix;                   // Figure 2
+};
+
 /// The runs the paper's claims read; null where a run has no result.
 struct PaperRuns {
-  const ExperimentObservations* pplive = nullptr;
-  const ExperimentObservations* sopcast = nullptr;
-  const ExperimentObservations* tvants = nullptr;
+  const RunProducts* pplive = nullptr;
+  const RunProducts* sopcast = nullptr;
+  const RunProducts* tvants = nullptr;
   /// The PPLive-Popular panel of Figure 2.
-  const ExperimentObservations* popular = nullptr;
+  const RunProducts* popular = nullptr;
 };
 
 /// The paper's shape claims over `runs`, in a fixed order. With
 /// `artifact` set ("T2", "T3", "T4", "Fig1", "Fig2") only the claims
-/// about that table or figure.
+/// about that table or figure. A claim whose run or product is absent
+/// is listed but not judged.
 [[nodiscard]] std::vector<Claim> paper_claims(const PaperRuns& runs,
                                               std::string_view artifact = {});
 

@@ -4,6 +4,8 @@
 
 #include <sstream>
 
+#include "obs/metrics.hpp"
+
 namespace peerscope::aware {
 namespace {
 
@@ -84,6 +86,43 @@ TEST(PaperClaims, CarryTheBenchmarkShapeCheckWording) {
         "T4 PPLive no HOP awareness (|B' - P'| < 12)",
         "T4 SopCast no HOP awareness (|B' - P'| < 12)"}) {
     EXPECT_TRUE(has(text)) << text;
+  }
+}
+
+TEST(PaperClaims, JudgingReadsTheProductsAndCountsNothingTwice) {
+  // The claims read the products the tables already computed, so a
+  // sidecar's aware.* counters count each product once.
+  obs::MetricsRegistry registry;
+  obs::install(&registry);
+  ExperimentObservations data;
+  data.app = "Any";
+  const RunProducts products{summarize(data), self_bias(data),
+                             awareness_table(data), geo_breakdown(data),
+                             as_traffic_matrix(data)};
+  const auto cells = [&] {
+    return registry.snapshot().counters.at("aware.cells_evaluated");
+  };
+  const std::uint64_t computed = cells();
+  PaperRuns runs;
+  runs.pplive = runs.sopcast = runs.tvants = runs.popular = &products;
+  const std::vector<Claim> claims = paper_claims(runs);
+  const std::uint64_t after = cells();
+  obs::install(nullptr);
+  EXPECT_GT(computed, 0u);
+  EXPECT_EQ(after, computed);
+  for (const Claim& claim : claims) {
+    EXPECT_TRUE(claim.holds.has_value()) << claim.text;
+  }
+}
+
+TEST(PaperClaims, AbsentProductLeavesItsClaimsUnjudged) {
+  RunProducts summary_only;
+  summary_only.summary.emplace();
+  PaperRuns runs;
+  runs.pplive = runs.sopcast = runs.tvants = &summary_only;
+  for (const Claim& claim : paper_claims(runs)) {
+    EXPECT_EQ(claim.holds.has_value(), claim.text.rfind("T2 ", 0) == 0)
+        << claim.text;
   }
 }
 

@@ -13,7 +13,7 @@
 // Every cell must land in one of those documented outcomes; a crash,
 // hang, or silently short artifact fails the suite. The CLI-level
 // half of the matrix (exit codes, metrics sidecars) lives in
-// tools/chaos_sweep.sh.
+// chaos_cli_test.cpp.
 #include <gtest/gtest.h>
 
 #include <filesystem>

@@ -418,33 +418,107 @@ TEST(LintRun, MissingRegistryIsAConfigError) {
               Contains(HasSubstr("trace_names.def")));
 }
 
-// --- view helpers -----------------------------------------------------
+// --- token stream -----------------------------------------------------
 
-TEST(CodeView, BlanksCommentsAndStringsButKeepsLineStructure) {
+/// The spellings of `tokens` whose kind is `kind`, in order.
+std::vector<std::string> texts(const std::vector<Token>& tokens,
+                               Token::Kind kind) {
+  std::vector<std::string> out;
+  for (const auto& token : tokens) {
+    if (token.kind == kind) out.emplace_back(token.text);
+  }
+  return out;
+}
+
+TEST(Tokenize, CommentsAndLiteralsNeverBecomeCodeTokens) {
   const std::string source =
       "int a; // std::ofstream\n"
       "const char* s = \"std::ofstream\";\n"
       "/* std::ofstream */ int b;\n";
-  const std::string view = code_view(source);
-  EXPECT_THAT(view, Not(HasSubstr("ofstream")));
-  EXPECT_THAT(view, HasSubstr("int a;"));
-  EXPECT_THAT(view, HasSubstr("int b;"));
-  EXPECT_EQ(std::count(view.begin(), view.end(), '\n'), 3);
+  const TokenStream stream = tokenize(source);
+  EXPECT_THAT(texts(stream.code, Token::Kind::kIdent),
+              ::testing::ElementsAre("int", "a", "const", "char", "s", "int",
+                                     "b"));
+  EXPECT_THAT(texts(stream.code, Token::Kind::kString),
+              ::testing::ElementsAre("std::ofstream"));
+  EXPECT_THAT(texts(stream.comments, Token::Kind::kComment),
+              ::testing::ElementsAre("// std::ofstream",
+                                     "/* std::ofstream */"));
 }
 
-TEST(CodeView, HandlesRawStringsAndEscapes) {
-  const std::string source =
-      "auto r = R\"(std::ofstream)\";\n"
-      "auto e = \"quote \\\" std::ofstream\";\n";
-  EXPECT_THAT(code_view(source), Not(HasSubstr("ofstream")));
-}
-
-TEST(NoCommentView, KeepsStringsDropsComments) {
+TEST(Tokenize, StringContentsAreTokensAndCommentsAreKeptApart) {
   const std::string source =
       "const char* s = \"kept.literal/1\";  // dropped.comment/2\n";
-  const std::string view = no_comment_view(source);
-  EXPECT_THAT(view, HasSubstr("kept.literal/1"));
-  EXPECT_THAT(view, Not(HasSubstr("dropped.comment/2")));
+  const TokenStream stream = tokenize(source);
+  EXPECT_THAT(texts(stream.code, Token::Kind::kString),
+              ::testing::ElementsAre("kept.literal/1"));
+  EXPECT_THAT(texts(stream.comments, Token::Kind::kComment),
+              ::testing::ElementsAre("// dropped.comment/2"));
+  for (const auto& token : stream.code) {
+    EXPECT_THAT(std::string(token.text), Not(HasSubstr("dropped.comment")));
+  }
+}
+
+TEST(Tokenize, OffsetsPointIntoTheSource) {
+  const std::string source = "x = \"lit\";\n  // note\n";
+  const TokenStream stream = tokenize(source);
+  for (const auto& token : stream.code) {
+    EXPECT_EQ(source.substr(token.offset, token.text.size()), token.text);
+  }
+  ASSERT_EQ(stream.comments.size(), 1u);
+  EXPECT_EQ(stream.comments[0].offset, source.find("// note"));
+}
+
+TEST(Tokenize, HandlesRawStringsAndEscapes) {
+  const std::string source =
+      "auto r = R\"x(std::ofstream \")\" )x\";\n"
+      "auto e = \"quote \\\" std::ofstream\";\n"
+      "char c = '\\'';\n";
+  const TokenStream stream = tokenize(source);
+  EXPECT_THAT(texts(stream.code, Token::Kind::kString),
+              ::testing::ElementsAre("std::ofstream \")\" ",
+                                     "quote \\\" std::ofstream"));
+  EXPECT_THAT(texts(stream.code, Token::Kind::kChar),
+              ::testing::ElementsAre("\\'"));
+  EXPECT_THAT(texts(stream.code, Token::Kind::kIdent),
+              Not(Contains("ofstream")));
+}
+
+TEST(Tokenize, ScopeIsOneTokenAndDigitSeparatorsStayInNumbers) {
+  const TokenStream stream =
+      tokenize("std :: ofstream f; long n = 1'000 + 0x1p-3;");
+  EXPECT_THAT(texts(stream.code, Token::Kind::kPunct),
+              ::testing::ElementsAre("::", ";", "=", "+", ";"));
+  EXPECT_THAT(texts(stream.code, Token::Kind::kNumber),
+              ::testing::ElementsAre("1'000", "0x1p-3"));
+  EXPECT_THAT(texts(stream.code, Token::Kind::kChar), IsEmpty());
+}
+
+TEST(Tokenize, UnterminatedLiteralRunsToTheEnd) {
+  const TokenStream stream = tokenize("a = \"open\nb;");
+  ASSERT_EQ(stream.code.size(), 3u);
+  EXPECT_EQ(stream.code.back().kind, Token::Kind::kString);
+  EXPECT_EQ(stream.code.back().text, "open\nb;");
+}
+
+// The `tokens` fixture pins what the token stream sees that a
+// character scan of blanked views did not.
+
+TEST(TokenFixture, SpacedQualifierAndCodeAfterADigitSeparatorAreSeen) {
+  const auto findings = lint_fixture("tokens", kRuleRawIo);
+  EXPECT_THAT(findings, Contains(AllOf(HasSubstr("lexed.cpp:6"),
+                                       HasSubstr("std::ofstream"))));
+  EXPECT_THAT(findings, Contains(AllOf(HasSubstr("lexed.cpp:11"),
+                                       HasSubstr("std::ofstream"))));
+  EXPECT_EQ(findings.size(), 2u);
+}
+
+TEST(TokenFixture, BraceInitSpanIsANameAndRawStringContentsAreNot) {
+  const auto findings = lint_fixture("tokens", kRuleMetricNames);
+  EXPECT_THAT(findings, Contains(AllOf(HasSubstr("lexed.cpp:16"),
+                                       HasSubstr("tokens.unregistered"))));
+  EXPECT_THAT(findings, Not(Contains(HasSubstr("lexed.cpp:20"))));
+  EXPECT_EQ(findings.size(), 1u);
 }
 
 TEST(FindingToString, FormatsFileLineRuleMessage) {

@@ -201,6 +201,7 @@ TEST_F(TimeseriesFileTest, StrictReaderThrowsOnCorruptionSalvageRecovers) {
   write_series(path, sample_snapshot());
 
   // Flip a byte late in the file (inside a framed payload).
+  // peerscope-lint: allow(no-raw-artifact-io): tests plant corrupt bytes
   std::fstream f{path, std::ios::in | std::ios::out | std::ios::binary};
   ASSERT_TRUE(f.good());
   f.seekp(-10, std::ios::end);
@@ -220,6 +221,7 @@ TEST_F(TimeseriesFileTest, StrictReaderThrowsOnCorruptionSalvageRecovers) {
 TEST_F(TimeseriesFileTest, ReadersRejectMissingAndForeignFiles) {
   EXPECT_THROW((void)read_series(dir_ / "absent.psts"), std::runtime_error);
   const auto path = dir_ / "foreign.psts";
+  // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
   std::ofstream{path} << "this is not a PSTS file at all";
   EXPECT_THROW((void)read_series(path), std::runtime_error);
   SeriesSalvageReport report;
@@ -244,6 +246,7 @@ TEST_F(TimeseriesFileTest, OutOfRangeFieldsAreRejectedNotWrapped) {
   format.version = kSeriesVersion;
   format.max_record_len = std::uint32_t{1} << 16;
   const auto path = dir_ / "overflow.psts";
+  // peerscope-lint: allow(no-raw-artifact-io): writes a test fixture
   std::ofstream{path, std::ios::binary}
       << util::framing::encode_frames(format, payloads);
 

@@ -10,7 +10,6 @@
 #include <map>
 #include <memory>
 #include <optional>
-#include <regex>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -116,105 +115,89 @@ class LineIndex {
   std::vector<std::size_t> starts_;
 };
 
-/// Shared lexer for code_view / no_comment_view: walks the source once
-/// and blanks comment contents, plus string/char contents when
-/// `keep_strings` is false. Delimiters (//, /*, quotes) are blanked
-/// too so a half-kept token can never straddle a region boundary.
-std::string make_view(std::string_view source, bool keep_strings) {
-  std::string out{source};
-  enum class State {
-    kCode,
-    kLineComment,
-    kBlockComment,
-    kString,
-    kChar,
-    kRawString
-  };
-  State state = State::kCode;
-  std::string raw_delim;  // )delim" terminator for raw strings
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    const char c = out[i];
-    const char next = i + 1 < out.size() ? out[i + 1] : '\0';
-    switch (state) {
-      case State::kCode:
-        if (c == '/' && next == '/') {
-          state = State::kLineComment;
-          out[i] = out[i + 1] = ' ';
-          ++i;
-        } else if (c == '/' && next == '*') {
-          state = State::kBlockComment;
-          out[i] = out[i + 1] = ' ';
-          ++i;
-        } else if (c == 'R' && next == '"') {
-          std::size_t j = i + 2;
-          while (j < out.size() && out[j] != '(') ++j;
-          raw_delim = ")";
-          raw_delim.append(out, i + 2, j - (i + 2));
-          raw_delim += '"';
-          state = State::kRawString;
-          if (!keep_strings) {
-            for (std::size_t k = i; k <= j && k < out.size(); ++k) {
-              if (out[k] != '\n') out[k] = ' ';
-            }
-          }
-          i = j;
-        } else if (c == '"') {
-          state = State::kString;
-          if (!keep_strings) out[i] = ' ';
-        } else if (c == '\'') {
-          state = State::kChar;
-          if (!keep_strings) out[i] = ' ';
-        }
-        break;
-      case State::kLineComment:
-        if (c == '\n') {
-          state = State::kCode;
-        } else {
-          out[i] = ' ';
-        }
-        break;
-      case State::kBlockComment:
-        if (c == '*' && next == '/') {
-          out[i] = out[i + 1] = ' ';
-          state = State::kCode;
-          ++i;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-      case State::kString:
-      case State::kChar: {
-        const char quote = state == State::kString ? '"' : '\'';
-        if (c == '\\') {
-          if (!keep_strings) {
-            out[i] = ' ';
-            if (next != '\n') out[i + 1] = ' ';
-          }
-          ++i;
-        } else if (c == quote) {
-          if (!keep_strings) out[i] = ' ';
-          state = State::kCode;
-        } else if (!keep_strings && c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-      }
-      case State::kRawString:
-        if (out.compare(i, raw_delim.size(), raw_delim) == 0) {
-          if (!keep_strings) {
-            for (std::size_t k = i; k < i + raw_delim.size(); ++k) {
-              out[k] = ' ';
-            }
-          }
-          i += raw_delim.size() - 1;
-          state = State::kCode;
-        } else if (!keep_strings && c != '\n') {
-          out[i] = ' ';
-        }
-        break;
+[[nodiscard]] bool is_word(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '_';
+}
+
+/// `text` without its leading spaces and tabs.
+[[nodiscard]] std::string_view skip_blanks(std::string_view text) {
+  const std::size_t first = text.find_first_not_of(" \t");
+  return first == std::string_view::npos ? std::string_view{}
+                                         : text.substr(first);
+}
+
+/// Drops `prefix` from the front of `text` when it is there.
+bool consume(std::string_view& text, std::string_view prefix) {
+  if (text.substr(0, prefix.size()) != prefix) return false;
+  text.remove_prefix(prefix.size());
+  return true;
+}
+
+/// Whether only blanks precede `offset` on its line of `source`.
+[[nodiscard]] bool starts_line(std::string_view source, std::size_t offset) {
+  const std::size_t newline = source.rfind('\n', offset);
+  const std::size_t bol = newline == std::string_view::npos ? 0 : newline + 1;
+  return skip_blanks(source.substr(bol, offset - bol)).empty();
+}
+
+// --- token patterns ---------------------------------------------------
+//
+// A rule is a short token sequence written as space-separated
+// elements: `std :: ofstream`, `obs :: counter ( $str`,
+// `Span $id? { $str`. `$id`, `$num` and `$str` accept any identifier,
+// number or string literal; any other element is a `|`-separated list
+// of spellings an identifier, number or punctuator must equal, so a
+// literal's contents never match code. A trailing `?` makes an element
+// optional (greedy).
+
+constexpr std::size_t kNoMatch = std::string_view::npos;
+
+[[nodiscard]] bool accepts(std::string_view element, const Token& token) {
+  if (element == "$id") return token.kind == Token::Kind::kIdent;
+  if (element == "$num") return token.kind == Token::Kind::kNumber;
+  if (element == "$str") return token.kind == Token::Kind::kString;
+  if (token.kind == Token::Kind::kString ||
+      token.kind == Token::Kind::kChar) {
+    return false;
+  }
+  for (;;) {
+    const std::size_t bar = element.find('|');
+    if (element.substr(0, bar) == token.text) return true;
+    if (bar == std::string_view::npos) return false;
+    element.remove_prefix(bar + 1);
+  }
+}
+
+/// Index one past the match of `pattern` at tokens[i], or kNoMatch.
+[[nodiscard]] std::size_t match_at(const std::vector<Token>& tokens,
+                                   std::size_t i, std::string_view pattern) {
+  while (!pattern.empty()) {
+    const std::size_t space = pattern.find(' ');
+    std::string_view element = pattern.substr(0, space);
+    pattern.remove_prefix(space == std::string_view::npos ? pattern.size()
+                                                          : space + 1);
+    const bool optional = element.size() > 1 && element.back() == '?';
+    if (optional) element.remove_suffix(1);
+    if (i < tokens.size() && accepts(element, tokens[i])) {
+      ++i;
+    } else if (!optional) {
+      return kNoMatch;
     }
   }
-  return out;
+  return i;
+}
+
+/// Calls fn(begin, end) for each non-overlapping match of `pattern` in
+/// source order; [begin, end) are the matched token indices.
+template <typename Fn>
+void for_each_match(const std::vector<Token>& tokens,
+                    std::string_view pattern, Fn&& fn) {
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const std::size_t end = match_at(tokens, i, pattern);
+    if (end == kNoMatch) continue;
+    fn(i, end);
+    i = end - 1;
+  }
 }
 
 // --- suppressions -----------------------------------------------------
@@ -233,70 +216,39 @@ struct Suppressions {
   }
 };
 
-/// Parses `// peerscope-lint: allow(r1, r2)` / `allow-file(...)`
-/// markers from the raw source. A line-level allow on a line whose
-/// code part is blank applies to the next line.
-Suppressions parse_suppressions(std::string_view source) {
-  static const std::regex marker{
-      R"(peerscope-lint:\s*(allow|allow-file)\(([^)]*)\))"};
+/// Parses `peerscope-lint: allow(r1, r2)` / `allow-file(...)` markers
+/// from the comments. A `//` marker with nothing before it on its line
+/// applies to the next line.
+Suppressions parse_suppressions(std::string_view source,
+                                const std::vector<Token>& comments,
+                                const LineIndex& lines) {
+  constexpr std::string_view kMarker = "peerscope-lint:";
   Suppressions out;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= source.size()) {
-    ++line_no;
-    std::size_t eol = source.find('\n', pos);
-    if (eol == std::string_view::npos) eol = source.size();
-    const std::string line{source.substr(pos, eol - pos)};
-    std::smatch match;
-    if (std::regex_search(line, match, marker)) {
-      const bool file_wide = match[1] == "allow-file";
-      // Everything before the comment marker decides whether this is
-      // an own-line annotation (applies to the next line) or trails
-      // code (applies to this line).
-      const std::size_t comment = line.find("//");
-      const bool own_line =
-          comment != std::string::npos &&
-          line.find_first_not_of(" \t") == comment;
-      std::string rules = match[2];
+  for (const Token& comment : comments) {
+    for (std::size_t at = comment.text.find(kMarker);
+         at != std::string_view::npos;
+         at = comment.text.find(kMarker, at + 1)) {
+      std::string_view rest =
+          skip_blanks(comment.text.substr(at + kMarker.size()));
+      const bool file_wide = consume(rest, "allow-file(");
+      if (!file_wide && !consume(rest, "allow(")) continue;
+      const std::size_t close = rest.find(')');
+      if (close == std::string_view::npos) continue;
+      const bool own_line = comment.text.substr(0, 2) == "//" &&
+                            starts_line(source, comment.offset);
+      const std::size_t line =
+          lines.line_of(comment.offset + at) + (own_line ? 1 : 0);
+      std::string rules{rest.substr(0, close)};
       std::replace(rules.begin(), rules.end(), ',', ' ');
       std::istringstream split{rules};
-      std::string rule;
-      while (split >> rule) {
+      for (std::string rule; split >> rule;) {
         if (file_wide) {
           out.whole_file.insert(rule);
         } else {
-          out.lines[rule].insert(own_line ? line_no + 1 : line_no);
+          out.lines[rule].insert(line);
         }
       }
     }
-    pos = eol + 1;
-  }
-  return out;
-}
-
-/// Lines covered by a `// lint: ordered` marker (the
-/// nondeterministic-iteration opt-out: "this loop's effects are
-/// order-independent, or the consumer sorts"). Same placement rule as
-/// allow(): trailing a statement covers that line, on a line of its
-/// own covers the next.
-std::set<std::size_t> parse_ordered_lines(std::string_view source) {
-  static const std::regex marker{R"(//\s*lint:\s*ordered\b)"};
-  std::set<std::size_t> out;
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos <= source.size()) {
-    ++line_no;
-    std::size_t eol = source.find('\n', pos);
-    if (eol == std::string_view::npos) eol = source.size();
-    const std::string line{source.substr(pos, eol - pos)};
-    std::smatch match;
-    if (std::regex_search(line, match, marker)) {
-      const bool own_line =
-          line.find_first_not_of(" \t") ==
-          static_cast<std::size_t>(match.position(0));
-      out.insert(own_line ? line_no + 1 : line_no);
-    }
-    pos = eol + 1;
   }
   return out;
 }
@@ -373,9 +325,8 @@ std::optional<Registry> load_registry(
 struct FileContext {
   fs::path path;          // absolute (or as walked)
   std::string rel;        // root-relative, '/'-separated
-  std::string source;     // raw bytes
-  std::string code;       // code_view
-  std::string no_comment; // no_comment_view
+  std::string source;     // raw bytes; `tokens` views into them
+  TokenStream tokens;
   LineIndex lines;
   Suppressions suppressions;
 
@@ -383,10 +334,11 @@ struct FileContext {
       : path(std::move(p)),
         rel(std::move(rel_path)),
         source(std::move(src)),
-        code(code_view(source)),
-        no_comment(no_comment_view(source)),
+        tokens(tokenize(source)),
         lines(source),
-        suppressions(parse_suppressions(source)) {}
+        suppressions(parse_suppressions(source, tokens.comments, lines)) {}
+  FileContext(const FileContext&) = delete;
+  FileContext& operator=(const FileContext&) = delete;
 };
 
 class Linter {
@@ -502,10 +454,10 @@ class Linter {
   void scan_file(const FileContext& file) {
     if (enabled(kRuleRawIo)) check_raw_io(file);
     if (enabled(kRuleMetricNames) && metric_registry_) {
-      check_metric_names(file);
+      check_names(file, kMetricApis, *metric_registry_, kMetricRegistryPath);
     }
     if (enabled(kRuleMetricNames) && trace_registry_) {
-      check_trace_names(file);
+      check_names(file, kTraceApis, *trace_registry_, kTraceRegistryPath);
     }
     if (enabled(kRuleSchemaVersions) && schema_registry_) {
       check_schemas(file);
@@ -520,148 +472,109 @@ class Linter {
     if (enabled(kRuleLayering) && layers_) check_layering(file);
   }
 
-  // (1) no-raw-artifact-io: every write-capable file-open primitive in
-  // the code view, outside the util::write_file_atomic implementation
-  // and the util::io fault shim. Within src/ the rule also covers the
-  // read side: every reader must route through util::io::read_file so
-  // the storage fault-injection layer sees all file I/O.
+  // A banned token sequence and the diagnostic it earns.
+  struct Banned {
+    std::string_view pattern;
+    std::string_view message;
+  };
+
+  void report_each(const FileContext& file, std::string_view rule,
+                   const Banned& banned) {
+    for_each_match(file.tokens.code, banned.pattern,
+                   [&](std::size_t i, std::size_t) {
+                     report(file, file.tokens.code[i].offset, rule,
+                            std::string{banned.message});
+                   });
+  }
+
+  // (1) no-raw-artifact-io: every write-capable file-open primitive,
+  // outside the util::write_file_atomic implementation and the util::io
+  // fault shim. Within src/ the rule also covers the read side: every
+  // reader must route through util::io::read_file so the storage
+  // fault-injection layer sees all file I/O.
   void check_raw_io(const FileContext& file) {
     if (std::find(kRawIoAllowlist.begin(), kRawIoAllowlist.end(),
                   file.rel) != kRawIoAllowlist.end()) {
       return;
     }
-    struct Token {
-      const char* pattern;
-      const char* what;
-    };
-    static const std::array<Token, 5> kTokens = {{
-        {R"(std::ofstream\b)", "std::ofstream"},
-        {R"(std::fstream\b)", "std::fstream"},
-        {R"(\bfopen\s*\()", "fopen()"},
-        {R"(::open\s*\()", "open(2)"},
-        {R"(::creat\s*\()", "creat(2)"},
+    static constexpr std::array<Banned, 5> kWrites = {{
+        {"std :: ofstream", "std::ofstream"},
+        {"std :: fstream", "std::fstream"},
+        {"fopen (", "fopen()"},
+        {":: open (", "open(2)"},
+        {":: creat (", "creat(2)"},
     }};
-    for (const auto& token : kTokens) {
-      const std::regex re{token.pattern};
-      for (auto it = std::cregex_iterator{file.code.data(),
-                                          file.code.data() +
-                                              file.code.size(),
-                                          re};
-           it != std::cregex_iterator{}; ++it) {
-        const auto offset = static_cast<std::size_t>(it->position(0));
+    const std::vector<Token>& code = file.tokens.code;
+    for (const auto& banned : kWrites) {
+      for_each_match(code, banned.pattern, [&](std::size_t i, std::size_t) {
         // `foo::open(` is a member/namespace call, not the syscall.
-        if (token.what == std::string_view{"open(2)"} && offset > 0) {
-          const char prev = file.code[offset - 1];
-          if ((std::isalnum(static_cast<unsigned char>(prev)) != 0) ||
-              prev == '_' || prev == ':' || prev == '>' || prev == '.') {
-            continue;
+        if (banned.message == "open(2)" && i > 0) {
+          const Token& prev = code[i - 1];
+          if (prev.offset + prev.text.size() == code[i].offset &&
+              (prev.kind == Token::Kind::kIdent || prev.text == ">")) {
+            return;
           }
         }
-        report(file, offset, kRuleRawIo,
-               std::string{token.what} +
+        report(file, code[i].offset, kRuleRawIo,
+               std::string{banned.message} +
                    " bypasses util::write_file_atomic; route artifact "
                    "writes through it (or suppress in tests)");
-      }
+      });
     }
     // Read-side tokens, src/-only: tools and tests may slurp however
     // they like, but library code must stay fault-injectable.
     if (file.rel.rfind("src/", 0) != 0) return;
-    static const std::regex kReadRe{R"(std::ifstream\b)"};
-    for (auto it = std::cregex_iterator{file.code.data(),
-                                        file.code.data() +
-                                            file.code.size(),
-                                        kReadRe};
-         it != std::cregex_iterator{}; ++it) {
-      report(file, static_cast<std::size_t>(it->position(0)), kRuleRawIo,
-             "std::ifstream bypasses the util::io fault shim; route "
-             "src/ reads through util::io::read_file (or suppress with "
-             "an allow annotation)");
-    }
+    report_each(file, kRuleRawIo,
+                {"std :: ifstream",
+                 "std::ifstream bypasses the util::io fault shim; route "
+                 "src/ reads through util::io::read_file (or suppress "
+                 "with an allow annotation)"});
   }
 
   // (2) metric-name-registry: every literal handed to the obs API must
   // be registered with the right kind, and (checked in
   // finish_registries) every registered name must be used.
-  void check_metric_names(const FileContext& file) {
-    struct Api {
-      const char* pattern;
-      const char* kind;
-    };
-    static const std::array<Api, 6> kApis = {{
-        {R"rx(obs::counter\s*\(\s*"([^"]*)")rx", "counter"},
-        {R"rx(PEERSCOPE_METRIC_(?:ADD|INC)\s*\(\s*"([^"]*)")rx",
-         "counter"},
-        {R"rx(obs::histogram\s*\(\s*"([^"]*)")rx", "histogram"},
-        {R"rx(obs::set_gauge\s*\(\s*"([^"]*)")rx", "gauge"},
-        {R"rx(PEERSCOPE_SPAN\s*\(\s*"([^"]*)")rx", "span"},
-        {R"rx(\bSpan\s+(?:[A-Za-z_]\w*\s*)?\{\s*"([^"]*)")rx", "span"},
-    }};
-    const std::string& text = file.no_comment;
-    for (const auto& api : kApis) {
-      const std::regex re{api.pattern};
-      for (auto it = std::cregex_iterator{text.data(),
-                                          text.data() + text.size(), re};
-           it != std::cregex_iterator{}; ++it) {
-        const auto offset = static_cast<std::size_t>(it->position(0));
-        const std::string name = (*it)[1].str();
-        // A literal followed by `+` is the static prefix of a
-        // runtime-built name and must match a dynamic registry entry.
-        std::size_t after = static_cast<std::size_t>(it->position(0)) +
-                            static_cast<std::size_t>(it->length(0));
-        while (after < text.size() &&
-               (std::isspace(static_cast<unsigned char>(text[after])) !=
-                0)) {
-          ++after;
-        }
-        const bool concatenated = after < text.size() && text[after] == '+';
-        resolve_metric(file, offset, name, api.kind, concatenated);
-      }
-    }
-  }
+  struct NameApi {
+    std::string_view pattern;  // ends at the name literal
+    std::string_view kind;
+  };
+  static constexpr std::array<NameApi, 6> kMetricApis = {{
+      {"obs :: counter ( $str", "counter"},
+      {"PEERSCOPE_METRIC_ADD|PEERSCOPE_METRIC_INC ( $str", "counter"},
+      {"obs :: histogram ( $str", "histogram"},
+      {"obs :: set_gauge ( $str", "gauge"},
+      {"PEERSCOPE_SPAN ( $str", "span"},
+      {"Span $id? { $str", "span"},
+  }};
 
   // Trace event names go through the same rule with their own
   // registry: the timeline's vocabulary is as much a public schema as
   // the metrics keys (DESIGN.md §12). Span begin/end names are the
   // span paths already pinned by metric_names.def, so only the
   // instant/counter hooks are scanned here.
-  void check_trace_names(const FileContext& file) {
-    struct Api {
-      const char* pattern;
-      const char* kind;
-    };
-    static const std::array<Api, 4> kApis = {{
-        {R"rx(obs::trace_instant\s*\(\s*"([^"]*)")rx", "instant"},
-        {R"rx(PEERSCOPE_TRACE_INSTANT\s*\(\s*"([^"]*)")rx", "instant"},
-        {R"rx(obs::trace_counter\s*\(\s*"([^"]*)")rx", "counter"},
-        {R"rx(PEERSCOPE_TRACE_COUNTER\s*\(\s*"([^"]*)")rx", "counter"},
-    }};
-    const std::string& text = file.no_comment;
-    for (const auto& api : kApis) {
-      const std::regex re{api.pattern};
-      for (auto it = std::cregex_iterator{text.data(),
-                                          text.data() + text.size(), re};
-           it != std::cregex_iterator{}; ++it) {
-        const auto offset = static_cast<std::size_t>(it->position(0));
-        const std::string name = (*it)[1].str();
-        std::size_t after = static_cast<std::size_t>(it->position(0)) +
-                            static_cast<std::size_t>(it->length(0));
-        while (after < text.size() &&
-               (std::isspace(static_cast<unsigned char>(text[after])) !=
-                0)) {
-          ++after;
-        }
-        const bool concatenated = after < text.size() && text[after] == '+';
-        resolve_name(*trace_registry_, kTraceRegistryPath, file, offset,
-                     name, api.kind, concatenated);
-      }
-    }
-  }
+  static constexpr std::array<NameApi, 4> kTraceApis = {{
+      {"obs :: trace_instant ( $str", "instant"},
+      {"PEERSCOPE_TRACE_INSTANT ( $str", "instant"},
+      {"obs :: trace_counter ( $str", "counter"},
+      {"PEERSCOPE_TRACE_COUNTER ( $str", "counter"},
+  }};
 
-  void resolve_metric(const FileContext& file, std::size_t offset,
-                      const std::string& name, std::string_view kind,
-                      bool concatenated) {
-    resolve_name(*metric_registry_, kMetricRegistryPath, file, offset, name,
-                 kind, concatenated);
+  template <std::size_t N>
+  void check_names(const FileContext& file,
+                   const std::array<NameApi, N>& apis, Registry& registry,
+                   std::string_view registry_path) {
+    const std::vector<Token>& code = file.tokens.code;
+    for (const auto& api : apis) {
+      for_each_match(code, api.pattern, [&](std::size_t i, std::size_t end) {
+        // A literal followed by `+` is the static prefix of a
+        // runtime-built name and must match a dynamic registry entry.
+        const bool concatenated =
+            end < code.size() && accepts("+", code[end]);
+        resolve_name(registry, registry_path, file, code[i].offset,
+                     std::string{code[end - 1].text}, api.kind,
+                     concatenated);
+      });
+    }
   }
 
   void resolve_name(Registry& reg, std::string_view registry_path,
@@ -695,46 +608,62 @@ class Linter {
                "; register it (or suppress in tests)");
   }
 
-  // (3) schema-version-consistency: any peerscope.<thing>/<n> literal
-  // must match the schema registry exactly — a bumped writer with an
-  // un-bumped reader (or vice versa) fails here.
+  // (3) schema-version-consistency: any peerscope.<thing>/<n> inside a
+  // string literal must match the schema registry exactly — a bumped
+  // writer with an un-bumped reader (or vice versa) fails here.
   void check_schemas(const FileContext& file) {
-    static const std::regex re{
-        R"(peerscope\.[A-Za-z0-9_]+(?:\.[A-Za-z0-9_]+)*/[0-9]+)"};
-    const std::string& text = file.no_comment;
-    for (auto it = std::cregex_iterator{text.data(),
-                                        text.data() + text.size(), re};
-         it != std::cregex_iterator{}; ++it) {
-      const auto offset = static_cast<std::size_t>(it->position(0));
-      const std::string literal = it->str();
-      if (RegistryEntry* entry = schema_registry_->find_exact(literal)) {
-        entry->used = true;
-        continue;
+    constexpr std::string_view kPrefix = "peerscope.";
+    for (const Token& token : file.tokens.code) {
+      if (token.kind != Token::Kind::kString) continue;
+      const std::string_view text = token.text;
+      const auto word_end = [&](std::size_t j) {
+        while (j < text.size() && is_word(text[j])) ++j;
+        return j;
+      };
+      for (std::size_t at = text.find(kPrefix);
+           at != std::string_view::npos; at = text.find(kPrefix, at + 1)) {
+        // peerscope.<word>(.<word>)*/<digits>
+        std::size_t j = word_end(at + kPrefix.size());
+        if (j == at + kPrefix.size()) continue;
+        while (j + 1 < text.size() && text[j] == '.' && is_word(text[j + 1])) {
+          j = word_end(j + 1);
+        }
+        if (j + 1 >= text.size() || text[j] != '/' ||
+            std::isdigit(static_cast<unsigned char>(text[j + 1])) == 0) {
+          continue;
+        }
+        std::size_t end = j + 1;
+        while (end < text.size() &&
+               std::isdigit(static_cast<unsigned char>(text[end])) != 0) {
+          ++end;
+        }
+        const std::string literal{text.substr(at, end - at)};
+        const std::size_t offset = token.offset + at;
+        at = end - 1;
+        if (RegistryEntry* entry = schema_registry_->find_exact(literal)) {
+          entry->used = true;
+          continue;
+        }
+        report(file, offset, kRuleSchemaVersions,
+               "schema string \"" + literal + "\" is not in " +
+                   std::string{kSchemaRegistryPath} +
+                   "; bump the registry in the same commit");
       }
-      report(file, offset, kRuleSchemaVersions,
-             "schema string \"" + literal + "\" is not in " +
-                 std::string{kSchemaRegistryPath} +
-                 "; bump the registry in the same commit");
     }
   }
 
   // (5) header hygiene: #pragma once present, no using-namespace.
   void check_header_hygiene(const FileContext& file) {
-    static const std::regex pragma{R"(#\s*pragma\s+once)"};
-    static const std::regex using_ns{R"(\busing\s+namespace\b)"};
-    if (!std::regex_search(file.code, pragma)) {
-      report(file, 0, kRuleHeaderHygiene,
-             "header is missing #pragma once");
+    const std::vector<Token>& code = file.tokens.code;
+    bool has_pragma = false;
+    for_each_match(code, "# pragma once",
+                   [&](std::size_t, std::size_t) { has_pragma = true; });
+    if (!has_pragma) {
+      report(file, 0, kRuleHeaderHygiene, "header is missing #pragma once");
     }
-    for (auto it = std::cregex_iterator{file.code.data(),
-                                        file.code.data() +
-                                            file.code.size(),
-                                        using_ns};
-         it != std::cregex_iterator{}; ++it) {
-      report(file, static_cast<std::size_t>(it->position(0)),
-             kRuleHeaderHygiene,
-             "using-namespace in a header leaks into every includer");
-    }
+    report_each(file, kRuleHeaderHygiene,
+                {"using namespace",
+                 "using-namespace in a header leaks into every includer"});
   }
 
   // (7) engine-hot-path: src/sim and src/p2p are the per-event hot
@@ -750,61 +679,38 @@ class Linter {
         file.rel.rfind("src/p2p/", 0) != 0) {
       return;
     }
-    struct Token {
-      const char* pattern;
-      const char* message;
-    };
-    static const std::array<Token, 4> kTokens = {{
-        {R"(std::priority_queue\b)",
+    static constexpr std::array<Banned, 3> kTokens = {{
+        {"std :: priority_queue",
          "std::priority_queue in an engine hot path; schedule through "
          "sim::CalendarQueue (DESIGN.md section 14)"},
-        {R"(std::make_unique\b)",
+        {"std :: make_unique",
          "per-event heap allocation (std::make_unique) in an engine hot "
          "path; use the slab event pool, or annotate a one-time "
          "construction site with allow(engine-hot-path)"},
-        {R"(std::make_shared\b)",
+        {"std :: make_shared",
          "per-event heap allocation (std::make_shared) in an engine hot "
          "path; use the slab event pool, or annotate a one-time "
          "construction site with allow(engine-hot-path)"},
-        {R"(\bnew\b)",
-         "per-event heap allocation (new) in an engine hot path; use "
-         "the slab event pool, write placement news as `::new (ptr)`, "
-         "or annotate a one-time construction site with "
-         "allow(engine-hot-path)"},
     }};
-    const std::string& text = file.code;
-    for (const auto& token : kTokens) {
-      const std::regex re{token.pattern};
-      for (auto it = std::cregex_iterator{text.data(),
-                                          text.data() + text.size(), re};
-           it != std::cregex_iterator{}; ++it) {
-        const auto offset = static_cast<std::size_t>(it->position(0));
-        if (token.pattern == std::string_view{R"(\bnew\b)"}) {
-          std::size_t before = offset;
-          while (before > 0 &&
-                 (std::isspace(static_cast<unsigned char>(
-                      text[before - 1])) != 0)) {
-            --before;
-          }
-          const char prev = before > 0 ? text[before - 1] : '\0';
-          // `#include <new>` names the header, not an allocation.
-          if (prev == '<') continue;
-          std::size_t after =
-              offset + static_cast<std::size_t>(it->length(0));
-          while (after < text.size() &&
-                 (std::isspace(static_cast<unsigned char>(text[after])) !=
-                  0)) {
-            ++after;
-          }
-          // `::new (ptr) T` is placement construction into storage the
-          // pool already owns — the pattern the pool itself relies on.
-          if (prev == ':' && after < text.size() && text[after] == '(') {
-            continue;
-          }
-        }
-        report(file, offset, kRuleEngineHotPath, token.message);
-      }
+    for (const auto& banned : kTokens) {
+      report_each(file, kRuleEngineHotPath, banned);
     }
+    const std::vector<Token>& code = file.tokens.code;
+    for_each_match(code, "new", [&](std::size_t i, std::size_t end) {
+      // `#include <new>` names the header, not an allocation; `::new
+      // (ptr) T` is placement construction into storage the pool
+      // already owns — the pattern the pool itself relies on.
+      if (i > 0 && accepts("<", code[i - 1])) return;
+      if (i > 0 && accepts("::", code[i - 1]) && end < code.size() &&
+          accepts("(", code[end])) {
+        return;
+      }
+      report(file, code[i].offset, kRuleEngineHotPath,
+             "per-event heap allocation (new) in an engine hot path; use "
+             "the slab event pool, write placement news as `::new (ptr)`, "
+             "or annotate a one-time construction site with "
+             "allow(engine-hot-path)");
+    });
   }
 
   // (8) nondeterministic-iteration, src/ only: a range-for whose range
@@ -816,93 +722,90 @@ class Linter {
   // before consuming) carry `// lint: ordered` on or above the `for`.
   void collect_unordered_names() {
     if (!enabled(kRuleIteration)) return;
-    static const std::regex decl{
-        R"(std::unordered_(?:map|set|multimap|multiset)\s*<)"};
     for (const auto& file : files_) {
       if (file->rel.rfind("src/", 0) != 0) continue;
-      const std::string& text = file->code;
-      for (auto it = std::cregex_iterator{text.data(),
-                                          text.data() + text.size(), decl};
-           it != std::cregex_iterator{}; ++it) {
-        // Balance the template argument list, then take the declared
-        // (or accessor) identifier after it.
-        std::size_t j = static_cast<std::size_t>(it->position(0)) +
-                        static_cast<std::size_t>(it->length(0));
-        int depth = 1;
-        while (j < text.size() && depth > 0) {
-          if (text[j] == '<') ++depth;
-          if (text[j] == '>') --depth;
-          ++j;
+      const std::vector<Token>& code = file->tokens.code;
+      for_each_match(
+          code,
+          "std :: unordered_map|unordered_set|unordered_multimap|"
+          "unordered_multiset <",
+          [&](std::size_t, std::size_t end) {
+            // Balance the template argument list, then take the
+            // declared (or accessor) identifier after it.
+            std::size_t j = end;
+            for (int depth = 1; j < code.size() && depth > 0; ++j) {
+              if (accepts("<", code[j])) ++depth;
+              if (accepts(">", code[j])) --depth;
+            }
+            while (j < code.size() && accepts("&|*", code[j])) ++j;
+            if (j < code.size() && code[j].kind == Token::Kind::kIdent) {
+              unordered_names_.emplace(code[j].text);
+            }
+          });
+    }
+  }
+
+  /// Lines covered by a `// lint: ordered` marker (the
+  /// nondeterministic-iteration opt-out: "this loop's effects are
+  /// order-independent, or the consumer sorts"). Same placement rule as
+  /// allow(): trailing a statement covers that line, on a line of its
+  /// own covers the next.
+  [[nodiscard]] static std::set<std::size_t> ordered_lines(
+      const FileContext& file) {
+    std::set<std::size_t> out;
+    for (const Token& comment : file.tokens.comments) {
+      for (std::size_t at = comment.text.find("//");
+           at != std::string_view::npos;
+           at = comment.text.find("//", at + 1)) {
+        std::string_view rest = skip_blanks(comment.text.substr(at + 2));
+        if (!consume(rest, "lint:")) continue;
+        rest = skip_blanks(rest);
+        if (!consume(rest, "ordered") ||
+            (!rest.empty() && is_word(rest.front()))) {
+          continue;
         }
-        while (j < text.size() &&
-               ((std::isspace(static_cast<unsigned char>(text[j])) != 0) ||
-                text[j] == '&' || text[j] == '*')) {
-          ++j;
-        }
-        std::size_t end = j;
-        while (end < text.size() &&
-               ((std::isalnum(static_cast<unsigned char>(text[end])) !=
-                 0) ||
-                text[end] == '_')) {
-          ++end;
-        }
-        if (end > j &&
-            (std::isdigit(static_cast<unsigned char>(text[j])) == 0)) {
-          unordered_names_.insert(text.substr(j, end - j));
-        }
+        const std::size_t offset = comment.offset + at;
+        out.insert(file.lines.line_of(offset) +
+                   (starts_line(file.source, offset) ? 1 : 0));
       }
     }
+    return out;
   }
 
   void check_iteration(const FileContext& file) {
     if (file.rel.rfind("src/", 0) != 0 || unordered_names_.empty()) {
       return;
     }
-    const std::set<std::size_t> ordered = parse_ordered_lines(file.source);
-    static const std::regex for_head{R"(\bfor\s*\()"};
-    static const std::regex ident{R"([A-Za-z_]\w*)"};
-    const std::string& text = file.code;
-    for (auto it = std::cregex_iterator{text.data(),
-                                        text.data() + text.size(),
-                                        for_head};
-         it != std::cregex_iterator{}; ++it) {
-      const auto offset = static_cast<std::size_t>(it->position(0));
-      std::size_t open = offset + static_cast<std::size_t>(it->length(0));
+    const std::set<std::size_t> ordered = ordered_lines(file);
+    const std::vector<Token>& code = file.tokens.code;
+    for_each_match(code, "for (", [&](std::size_t i, std::size_t end) {
       // Find the matching close paren and the top-level range `:`
-      // (skipping `::`), if any.
-      int depth = 1;
-      std::size_t colon = std::string::npos;
-      std::size_t close = open;
-      for (std::size_t j = open; j < text.size() && depth > 0; ++j) {
-        const char c = text[j];
-        if (c == '(') ++depth;
-        if (c == ')') --depth;
-        if (depth == 0) {
-          close = j;
-          break;
-        }
-        if (c == ':' && depth == 1 && colon == std::string::npos) {
-          const char prev = j > 0 ? text[j - 1] : '\0';
-          const char next = j + 1 < text.size() ? text[j + 1] : '\0';
-          if (prev != ':' && next != ':') colon = j;
+      // (`::` is its own token), if any.
+      std::size_t colon = kNoMatch;
+      std::size_t close = end;
+      for (int depth = 1; close < code.size(); ++close) {
+        if (accepts("(", code[close])) ++depth;
+        if (accepts(")", code[close]) && --depth == 0) break;
+        if (depth == 1 && colon == kNoMatch && accepts(":", code[close])) {
+          colon = close;
         }
       }
-      if (colon == std::string::npos || close <= colon) continue;
-      const std::string range{text.substr(colon + 1, close - colon - 1)};
-      for (auto id = std::sregex_iterator{range.begin(), range.end(),
-                                          ident};
-           id != std::sregex_iterator{}; ++id) {
-        const std::string name = id->str();
-        if (unordered_names_.count(name) == 0) continue;
-        if (ordered.count(file.lines.line_of(offset)) != 0) break;
-        report(file, offset, kRuleIteration,
-               "range-for over unordered container `" + name +
+      if (colon == kNoMatch || close == code.size()) return;
+      for (std::size_t k = colon + 1; k < close; ++k) {
+        if (code[k].kind != Token::Kind::kIdent ||
+            unordered_names_.count(code[k].text) == 0) {
+          continue;
+        }
+        if (ordered.count(file.lines.line_of(code[i].offset)) != 0) return;
+        report(file, code[i].offset, kRuleIteration,
+               "range-for over unordered container `" +
+                   std::string{code[k].text} +
                    "` has no deterministic order; iterate a sorted "
                    "copy, or annotate `// lint: ordered` when the "
                    "loop's effects are order-independent");
-        break;
+        return;
       }
-    }
+    });
   }
 
   // (9) rng-discipline, everywhere except src/util/ (which implements
@@ -910,36 +813,35 @@ class Linter {
   // ambient entropy and wall-clock seeding make replay impossible.
   void check_rng(const FileContext& file) {
     if (file.rel.rfind("src/util/", 0) == 0) return;
-    struct Token {
-      const char* pattern;
-      const char* message;
-    };
-    static const std::array<Token, 4> kTokens = {{
-        {R"(\b(?:std::)?s?rand\s*\()",
+    static constexpr std::array<Banned, 3> kTokens = {{
+        {"rand|srand (",
          "C rand()/srand() is a hidden global stream; derive a "
          "util::rng stream from the run seed instead"},
-        {R"(\bstd::random_device\b)",
+        {"std :: random_device",
          "std::random_device is ambient entropy and unreplayable; "
          "derive streams from the run seed (util::rng)"},
-        {R"(\b(?:std::)?time\s*\(\s*(?:nullptr|NULL|0)\s*\))",
+        {"time ( nullptr|NULL|0 )",
          "wall-clock seeding breaks fixed-seed replay; derive streams "
          "from the run seed (util::rng)"},
-        {R"(\bstd::(?:mt19937(?:_64)?|minstd_rand0?|default_random_engine|)"
-         R"(ranlux24(?:_base)?|ranlux48(?:_base)?|knuth_b)\s+)"
-         R"([A-Za-z_]\w*\s*(?:;|\{\s*\}|\(\s*\)))",
-         "default-constructed random engine hides its seed; seed "
-         "explicitly from the run seed (util::rng)"},
     }};
-    const std::string& text = file.code;
-    for (const auto& token : kTokens) {
-      const std::regex re{token.pattern};
-      for (auto it = std::cregex_iterator{text.data(),
-                                          text.data() + text.size(), re};
-           it != std::cregex_iterator{}; ++it) {
-        report(file, static_cast<std::size_t>(it->position(0)), kRuleRng,
-               token.message);
-      }
-    }
+    for (const auto& banned : kTokens) report_each(file, kRuleRng, banned);
+    // A default-constructed engine: `gen;`, `gen{}` or `gen()`.
+    const std::vector<Token>& code = file.tokens.code;
+    for_each_match(
+        code,
+        "std :: mt19937|mt19937_64|minstd_rand|minstd_rand0|"
+        "default_random_engine|ranlux24|ranlux24_base|ranlux48|"
+        "ranlux48_base|knuth_b $id",
+        [&](std::size_t i, std::size_t end) {
+          if (match_at(code, end, ";") == kNoMatch &&
+              match_at(code, end, "{ }") == kNoMatch &&
+              match_at(code, end, "( )") == kNoMatch) {
+            return;
+          }
+          report(file, code[i].offset, kRuleRng,
+                 "default-constructed random engine hides its seed; seed "
+                 "explicitly from the run seed (util::rng)");
+        });
   }
 
   // (10) lock-annotation, src/ + tools/ + bench/: raw std lock types
@@ -952,22 +854,20 @@ class Linter {
                           file.rel.rfind("tools/", 0) == 0 ||
                           file.rel.rfind("bench/", 0) == 0;
     if (!in_scope || file.rel == "src/util/mutex.hpp") return;
-    static const std::regex re{
-        R"(\bstd::(?:mutex|recursive_mutex|timed_mutex|)"
-        R"(recursive_timed_mutex|shared_mutex|shared_timed_mutex|)"
-        R"(lock_guard|unique_lock|scoped_lock|)"
-        R"(condition_variable(?:_any)?)\b)"};
-    const std::string& text = file.code;
-    for (auto it = std::cregex_iterator{text.data(),
-                                        text.data() + text.size(), re};
-         it != std::cregex_iterator{}; ++it) {
-      report(file, static_cast<std::size_t>(it->position(0)), kRuleLocks,
-             it->str() + " is invisible to clang thread-safety "
-                         "analysis; use util::Mutex / util::MutexLock / "
-                         "util::CondVar (util/mutex.hpp), or annotate "
-                         "unavoidable std interop with "
-                         "allow(lock-annotation)");
-    }
+    const std::vector<Token>& code = file.tokens.code;
+    for_each_match(
+        code,
+        "std :: mutex|recursive_mutex|timed_mutex|recursive_timed_mutex|"
+        "shared_mutex|shared_timed_mutex|lock_guard|unique_lock|"
+        "scoped_lock|condition_variable|condition_variable_any",
+        [&](std::size_t i, std::size_t end) {
+          report(file, code[i].offset, kRuleLocks,
+                 "std::" + std::string{code[end - 1].text} +
+                     " is invisible to clang thread-safety analysis; use "
+                     "util::Mutex / util::MutexLock / util::CondVar "
+                     "(util/mutex.hpp), or annotate unavoidable std "
+                     "interop with allow(lock-annotation)");
+        });
   }
 
   // (11) module-layering, src/ only: `#include "<layer>/..."` edges
@@ -1022,22 +922,23 @@ class Linter {
       }
       return;
     }
-    static const std::regex include{
-        R"re(#\s*include\s*"([A-Za-z0-9_]+)/[^"]*")re"};
-    const std::string& text = file.no_comment;
-    for (auto it = std::cregex_iterator{text.data(),
-                                        text.data() + text.size(),
-                                        include};
-         it != std::cregex_iterator{}; ++it) {
-      const std::string target = (*it)[1].str();
-      if (target == layer || layers_->count(target) == 0) continue;
-      if (self->second.count(target) != 0) continue;
-      report(file, static_cast<std::size_t>(it->position(0)),
-             kRuleLayering,
+    const std::vector<Token>& code = file.tokens.code;
+    for_each_match(code, "# include $str", [&](std::size_t i,
+                                               std::size_t end) {
+      const std::string_view path = code[end - 1].text;
+      const std::size_t cut = path.find('/');
+      if (cut == 0 || cut == std::string_view::npos ||
+          !std::all_of(path.begin(), path.begin() + cut, is_word)) {
+        return;
+      }
+      const std::string target{path.substr(0, cut)};
+      if (target == layer || layers_->count(target) == 0) return;
+      if (self->second.count(target) != 0) return;
+      report(file, code[i].offset, kRuleLayering,
              "include of \"" + target + "/...\" from layer `" + layer +
                  "` violates " + std::string{kLayersPath} +
                  "; declare the dependency there or invert the edge");
-    }
+    });
   }
 
   // --- baseline -------------------------------------------------------
@@ -1153,22 +1054,25 @@ class Linter {
       std::string name;
       int value;
     };
-    static const std::regex re{
-        R"(constexpr\s+int\s+(kExit\w*)\s*=\s*([0-9]+)\s*;)"};
     std::vector<ExitCode> codes;
     for (const auto& file : files_) {
       if (file->rel.rfind("tools/", 0) != 0 &&
           file->rel.rfind("src/", 0) != 0) {
         continue;
       }
-      const std::string& text = file->no_comment;
-      for (auto it = std::cregex_iterator{text.data(),
-                                          text.data() + text.size(), re};
-           it != std::cregex_iterator{}; ++it) {
-        codes.push_back({file.get(),
-                         static_cast<std::size_t>(it->position(0)),
-                         (*it)[1].str(), std::stoi((*it)[2].str())});
-      }
+      const std::vector<Token>& code = file->tokens.code;
+      for_each_match(code, "constexpr int $id = $num ;",
+                     [&](std::size_t i, std::size_t) {
+                       const std::string_view name = code[i + 2].text;
+                       const std::string value{code[i + 4].text};
+                       if (name.rfind("kExit", 0) != 0 ||
+                           value.find_first_not_of("0123456789") !=
+                               std::string::npos) {
+                         return;
+                       }
+                       codes.push_back({file.get(), code[i].offset,
+                                        std::string{name}, std::stoi(value)});
+                     });
     }
     for (std::size_t i = 0; i < codes.size(); ++i) {
       for (std::size_t j = 0; j < i; ++j) {
@@ -1183,13 +1087,16 @@ class Linter {
     }
     const auto readme = read_file(options_.root / "README.md");
     std::set<int> documented;
-    if (readme) {
-      static const std::regex doc{R"(`([0-9]{1,3})`)"};
-      for (auto it = std::sregex_iterator{readme->begin(),
-                                          readme->end(), doc};
-           it != std::sregex_iterator{}; ++it) {
-        documented.insert(std::stoi((*it)[1].str()));
+    // Backticked 1-3 digit numbers: `3`, `11`.
+    for (std::size_t at = readme ? readme->find('`') : std::string::npos;
+         at != std::string::npos; at = readme->find('`', at + 1)) {
+      const std::size_t close = readme->find_first_not_of("0123456789", at + 1);
+      if (close == std::string::npos || (*readme)[close] != '`' ||
+          close == at + 1 || close > at + 4) {
+        continue;
       }
+      documented.insert(std::stoi(readme->substr(at + 1, close - at - 1)));
+      at = close;
     }
     for (const auto& code : codes) {
       if (documented.count(code.value) != 0) continue;
@@ -1384,12 +1291,68 @@ std::string to_string(const Finding& finding) {
   return out;
 }
 
-std::string code_view(std::string_view source) {
-  return make_view(source, /*keep_strings=*/false);
-}
-
-std::string no_comment_view(std::string_view source) {
-  return make_view(source, /*keep_strings=*/true);
+TokenStream tokenize(std::string_view source) {
+  TokenStream out;
+  const std::size_t size = source.size();
+  const auto emit = [&](Token::Kind kind, std::size_t from, std::size_t to) {
+    to = std::min(to, size);
+    auto& into = kind == Token::Kind::kComment ? out.comments : out.code;
+    into.push_back({kind, from, source.substr(from, to - from)});
+  };
+  std::size_t i = 0;
+  while (i < size) {
+    const char c = source[i];
+    const char next = i + 1 < size ? source[i + 1] : '\0';
+    const std::size_t start = i;
+    if (std::isspace(static_cast<unsigned char>(c)) != 0) {
+      ++i;
+    } else if (c == '/' && next == '/') {
+      i = std::min(source.find('\n', i), size);
+      emit(Token::Kind::kComment, start, i);
+    } else if (c == '/' && next == '*') {
+      i = std::min(source.find("*/", i + 2), size - 2) + 2;
+      emit(Token::Kind::kComment, start, i);
+    } else if (c == '"' || c == '\'') {
+      for (++i; i < size && source[i] != c; ++i) {
+        if (source[i] == '\\') ++i;
+      }
+      emit(c == '"' ? Token::Kind::kString : Token::Kind::kChar, start + 1,
+           i);
+      ++i;
+    } else if (is_word(c) || (c == '.' && std::isdigit(
+                                               static_cast<unsigned char>(
+                                                   next)) != 0)) {
+      // A pp-number takes `.`, digit separators and exponent signs.
+      const bool number = std::isdigit(static_cast<unsigned char>(c)) != 0 ||
+                          c == '.';
+      for (++i; i < size; ++i) {
+        const char d = source[i];
+        const bool sign = (d == '+' || d == '-') &&
+                          std::string_view{"eEpP"}.find(source[i - 1]) !=
+                              std::string_view::npos;
+        const bool separator =
+            d == '\'' && i + 1 < size && is_word(source[i + 1]);
+        if (!is_word(d) && !(number && (d == '.' || sign || separator))) {
+          break;
+        }
+      }
+      if (!number && source[i - 1] == 'R' && i < size && source[i] == '"') {
+        // Raw string R"delim( ... )delim", any encoding prefix.
+        const std::size_t open = std::min(source.find('(', i), size);
+        const std::string close =
+            ")" + std::string{source.substr(i + 1, open - i - 1)} + "\"";
+        const std::size_t end = std::min(source.find(close, open + 1), size);
+        emit(Token::Kind::kString, std::min(open + 1, size), end);
+        i = std::min(end + close.size(), size);
+      } else {
+        emit(number ? Token::Kind::kNumber : Token::Kind::kIdent, start, i);
+      }
+    } else {
+      i += c == ':' && next == ':' ? 2 : 1;
+      emit(Token::Kind::kPunct, start, i);
+    }
+  }
+  return out;
 }
 
 std::vector<Finding> check_tracked_paths(
@@ -1397,13 +1360,17 @@ std::vector<Finding> check_tracked_paths(
   std::vector<Finding> out;
   // build/ and build-<variant>/ only — a directory that merely starts
   // with "build" (builders/) is not a build tree.
-  static const std::regex build_dir{R"(^build(-[^/]*)?/)"};
   for (const auto& path : tracked) {
     std::string why;
     const std::size_t slash = path.rfind('/');
     const std::string base =
         slash == std::string::npos ? path : path.substr(slash + 1);
-    if (std::regex_search(path, build_dir)) {
+    const std::string_view after_build =
+        path.rfind("build", 0) == 0 ? std::string_view{path}.substr(5)
+                                    : std::string_view{};
+    if (after_build.substr(0, 1) == "/" ||
+        (after_build.substr(0, 1) == "-" &&
+         after_build.find('/') != std::string_view::npos)) {
       why = "build tree is committed; add it to .gitignore and "
             "git rm -r --cached it";
     } else if (path.size() >= 2 &&

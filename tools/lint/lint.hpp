@@ -98,15 +98,35 @@ struct LintResult {
 
 // --- building blocks, exposed for the fixture tests ---
 
-/// `source` with comment and string/char-literal *contents* blanked to
-/// spaces (newlines kept, so line numbers survive). Token scans run on
-/// this view, which is why a banned token inside a string or comment —
-/// including this linter's own rule table — never fires.
-[[nodiscard]] std::string code_view(std::string_view source);
+/// One lexeme of a C++ source file. `text` views into the source it
+/// was cut from, so a token never outlives that buffer.
+struct Token {
+  enum class Kind { kIdent, kNumber, kString, kChar, kPunct, kComment };
+  Kind kind = Kind::kPunct;
+  /// Byte offset of `text` in the source (for a literal, of its first
+  /// content byte), so findings map to real lines.
+  std::size_t offset = 0;
+  /// The spelling. String and char literals carry only the contents
+  /// between their delimiters, escapes as written; comments carry the
+  /// whole comment, `//` or `/* */` included. Punctuators are single
+  /// characters except `::`, which is one token.
+  std::string_view text;
+};
 
-/// Like code_view but keeps string literals: the view the metric-name
-/// and schema scanners use, so names in comments don't count as uses.
-[[nodiscard]] std::string no_comment_view(std::string_view source);
+/// A file lexed once: code tokens in source order, comments apart.
+/// Rules match short token sequences on `code`, so a banned name inside
+/// a literal or a comment — including this linter's own rule table —
+/// never fires; suppression markers are read from `comments` only.
+struct TokenStream {
+  std::vector<Token> code;
+  std::vector<Token> comments;
+};
+
+/// Lexes `source` (identifiers, pp-numbers with digit separators,
+/// ordinary/prefixed/raw string and char literals, comments,
+/// punctuators). Never fails: an unterminated literal or comment runs
+/// to the end of the file.
+[[nodiscard]] TokenStream tokenize(std::string_view source);
 
 /// The no-committed-build-artifacts core: flags tracked paths under
 /// build*/ plus object/archive/ccdb droppings. `tracked` is one

@@ -1,6 +1,8 @@
 #include "tools/reproduce.hpp"
 
+#include <array>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "aware/paper.hpp"
@@ -78,11 +80,24 @@ int reproduce(const ReproduceOptions& options) {
     return 1;
   }
 
-  const auto* main_runs = outcome.runs.data();  // [0..2]
-  const auto& popular_run = outcome.runs[3];
   const auto app_name = [&](std::size_t i) {
     return specs[i].profile.name;
   };
+  // Every table, figure and claim below reads these, computed once per
+  // run that produced results: [0..2] the main runs, [3] Popular, which
+  // only Figure 2 reads.
+  std::array<std::optional<aware::RunProducts>, 4> products;
+  for (std::size_t i = 0; i < 3; ++i) {
+    if (!outcome.runs[i].ok()) continue;
+    const auto& data = outcome.runs[i].result->observations;
+    products[i] = {aware::summarize(data), aware::self_bias(data),
+                   aware::awareness_table(data), aware::geo_breakdown(data),
+                   aware::as_traffic_matrix(data)};
+  }
+  if (outcome.runs[3].ok()) {
+    products[3].emplace().as_matrix =
+        aware::as_traffic_matrix(outcome.runs[3].result->observations);
+  }
 
   std::ostringstream out;
   out << "# PeerScope reproduction report\n\n"
@@ -118,11 +133,11 @@ int reproduce(const ReproduceOptions& options) {
         << md(paper.peers_max, 0) << " | " << md(paper.contrib_rx_mean, 0)
         << " | " << md(paper.contrib_tx_mean, 0) << " | "
         << md(paper.observed_total, 0) << " |\n";
-    if (!main_runs[i].ok()) {
+    if (!products[i]) {
       out << "| | ours |" << missing_cells(6) << '\n';
       continue;
     }
-    const auto s = aware::summarize(main_runs[i].result->observations);
+    const auto& s = *products[i]->summary;
     out << "| | ours | " << md(s.rx_kbps_mean, 0) << " / "
         << md(s.rx_kbps_max, 0) << " | " << md(s.tx_kbps_mean, 0) << " / "
         << md(s.tx_kbps_max, 0) << " | " << md(s.all_peers_mean, 0) << " / "
@@ -141,11 +156,11 @@ int reproduce(const ReproduceOptions& options) {
         << " | " << md(paper.contrib_bytes_pct, 2) << " | "
         << md(paper.all_peer_pct, 2) << " | " << md(paper.all_bytes_pct, 2)
         << " |\n";
-    if (!main_runs[i].ok()) {
+    if (!products[i]) {
       out << "| | ours |" << missing_cells(4) << '\n';
       continue;
     }
-    const auto bias = aware::self_bias(main_runs[i].result->observations);
+    const auto& bias = *products[i]->bias;
     out << "| | ours | " << md(bias.contributors_peer_pct, 2) << " | "
         << md(bias.contributors_bytes_pct, 2) << " | "
         << md(bias.all_peers_peer_pct, 2) << " | "
@@ -156,15 +171,6 @@ int reproduce(const ReproduceOptions& options) {
   out << "\n## Table IV — network awareness\n\n"
       << "| Net | App | src | B′D | P′D | BD | PD | B′U | P′U | BU | PU |\n"
       << "|---|---|---|---|---|---|---|---|---|---|---|\n";
-  std::vector<std::optional<std::vector<aware::AwarenessRow>>> tables;
-  for (std::size_t i = 0; i < 3; ++i) {
-    if (main_runs[i].ok()) {
-      tables.emplace_back(
-          aware::awareness_table(main_runs[i].result->observations));
-    } else {
-      tables.emplace_back(std::nullopt);
-    }
-  }
   for (std::size_t entry = 0; entry < std::size(aware::kPaperTable4); ++entry) {
     const auto& paper = aware::kPaperTable4[entry];
     out << "| " << paper.metric << " | " << paper.app << " | paper | "
@@ -172,12 +178,12 @@ int reproduce(const ReproduceOptions& options) {
         << md_paper(paper.bd) << " | " << md_paper(paper.pd) << " | "
         << md_paper(paper.bpu) << " | " << md_paper(paper.ppu) << " | "
         << md_paper(paper.bu) << " | " << md_paper(paper.pu) << " |\n";
-    const auto& table = tables[entry % 3];
-    if (!table) {
+    const auto& run = products[entry % 3];
+    if (!run) {
       out << "| | | ours |" << missing_cells(8) << '\n';
       continue;
     }
-    const auto& measured = (*table)[entry / 3];
+    const auto& measured = (*run->awareness)[entry / 3];
     out << "| | | ours | " << md_opt(measured.download.b_prime_pct) << " | "
         << md_opt(measured.download.p_prime_pct) << " | "
         << md_opt(measured.download.b_pct) << " | "
@@ -192,13 +198,12 @@ int reproduce(const ReproduceOptions& options) {
   out << "\n## Figure 1 — geographical breakdown (percent)\n\n"
       << "| App | CC | peers | RX bytes | TX bytes |\n|---|---|---|---|---|\n";
   for (std::size_t i = 0; i < 3; ++i) {
-    if (!main_runs[i].ok()) {
+    if (!products[i]) {
       out << "| " << app_name(i) << " |" << missing_cells(4) << '\n';
       continue;
     }
-    const auto& observations = main_runs[i].result->observations;
-    for (const auto& share : aware::geo_breakdown(observations)) {
-      out << "| " << observations.app << " | "
+    for (const auto& share : *products[i]->geo) {
+      out << "| " << outcome.runs[i].result->observations.app << " | "
           << (share.cc.known() ? share.cc.to_string() : std::string{"*"})
           << " | " << md(share.peer_pct) << " | " << md(share.rx_bytes_pct)
           << " | " << md(share.tx_bytes_pct) << " |\n";
@@ -219,20 +224,18 @@ int reproduce(const ReproduceOptions& options) {
   };
   for (std::size_t i = 0; i < 3; ++i) {
     const double paper_r = paper_ratio(app_name(i));
-    if (!main_runs[i].ok()) {
+    if (!products[i]) {
       out << "| " << app_name(i) << " | " << md(paper_r, 2) << " |"
           << missing_cells(2) << '\n';
       continue;
     }
-    const auto matrix =
-        aware::as_traffic_matrix(main_runs[i].result->observations);
+    const auto& matrix = *products[i]->as_matrix;
     out << "| " << app_name(i) << " | " << md(paper_r, 2) << " | "
         << md(matrix.intra_inter_ratio, 2) << " | "
         << md(matrix.intra_inter_ratio_with_lan, 2) << " |\n";
   }
-  if (popular_run.ok()) {
-    const auto matrix =
-        aware::as_traffic_matrix(popular_run.result->observations);
+  if (products[3]) {
+    const auto& matrix = *products[3]->as_matrix;
     out << "| PPLive-Popular | (strongest locality) | "
         << md(matrix.intra_inter_ratio, 2) << " | "
         << md(matrix.intra_inter_ratio_with_lan, 2) << " |\n";
@@ -242,14 +245,14 @@ int reproduce(const ReproduceOptions& options) {
   }
 
   // --------------------------------------------------------- claims
-  const auto observations = [](const exp::RunStatus& run) {
-    return run.ok() ? &run.result->observations : nullptr;
+  const auto run_products = [&](std::size_t i) {
+    return products[i] ? &*products[i] : nullptr;
   };
   aware::PaperRuns runs;
-  runs.pplive = observations(main_runs[0]);
-  runs.sopcast = observations(main_runs[1]);
-  runs.tvants = observations(main_runs[2]);
-  runs.popular = observations(popular_run);
+  runs.pplive = run_products(0);
+  runs.sopcast = run_products(1);
+  runs.tvants = run_products(2);
+  runs.popular = run_products(3);
   out << "\n## Shape claims\n\n"
       << "The conclusions the paper draws from the tables and figures "
          "above, judged on these runs (src/aware/paper.cpp). A claim "
